@@ -13,6 +13,7 @@ from collections import defaultdict
 NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 UNIT_RE = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
 TAIL_BEYOND = 10
+TAIL_MIN_PERCENTILE = 50
 
 
 # --------------------------------------------------------------- statistics
@@ -31,6 +32,16 @@ def tail(values):
         return None
     r = math.ceil(p * n / 100)
     return p, xs[r - 1], n
+
+
+def tail_metric(values):
+    """`query_ms_tail` as (value, unit, better, detail). The value is None
+    when the tail rule lands below the median, which is no tail at all.
+    """
+    t = tail(values)
+    p = t[0] if t else None
+    value = t[1] if t and p >= TAIL_MIN_PERCENTILE else None
+    return value, "ms", "lower", {"percentile": p, "samples": len(values)}
 
 
 def self_time(parent, children):
@@ -98,12 +109,10 @@ def setup_seconds(setup):
 def end_to_end(recs):
     """The gated metrics, from the untraced rounds."""
     rounds = _plain_rounds(recs)
-    ops = [o for o in recs["op"] if not o["traced"]]
-    calls = [c for o in ops for c in o["calls"]]
+    calls = [c for o in recs["op"] if not o["traced"] for c in o["calls"]]
     return {
         "setup_s": setup_seconds(recs["setup"][0]),
         "round_ms_p50": statistics.median(r["ms"] for r in rounds),
-        "ops_per_s": len(ops) / (sum(r["ms"] for r in rounds) / 1000.0),
         "oracle_calls_per_call": sum(calls) / len(calls),
     }
 
@@ -162,9 +171,7 @@ def report(recs, min_rounds):
     queries = [o["ms"] for o in ops if o["kind"] == "query"]
     if queries:
         out["query_ms_p50"] = (statistics.median(queries), "ms", "lower")
-        t = tail(queries)
-        if t:
-            out["query_ms_tail"] = (t[1], "ms", "lower", {"percentile": t[0], "samples": t[2]})
+        out["query_ms_tail"] = tail_metric(queries)
     for name, kinds in PHASES.items():
         if any(o["kind"] in kinds for o in ops):
             out[name] = (_per_s(ops, kinds), "trials/s", "higher")
@@ -200,7 +207,7 @@ SPAN_METRICS = {
     "core.spark_run": "core.spark_run_ms",
     "core.sampled_collect": "core.sampled_collect_ms",
 }
-COUNT_METRICS = ["sampling.next_calls", "sampling.indices_drawn", "core.bootstrap_resamples"]
+COUNT_METRICS = ["sampling.next_calls", "sampling.indices_drawn", "core.bootstrap_resamples", "oracle.calls"]
 SPARK_PER_ROUND = ["spark.jobs", "spark.stages", "spark.tasks", "spark.task_ms_sum",
                    "spark.shuffle_write_bytes", "spark.shuffle_read_bytes", "spark.spill_bytes"]
 SELF_TIME = {"core.abae_run": "core.abae_self_ms"}
@@ -259,10 +266,8 @@ def per_layer(recs):
         out[metric] = counts[metric] / n
 
     ops = [o for o in recs["op"] if o["traced"]]
-    calls = sum(sum(o["calls"]) for o in ops)
-    out["oracle.calls"] = calls / n
     budget = sum(o["budget"] * len(o["calls"]) for o in ops)
-    out["oracle.budget_used"] = calls / budget if budget else 0.0
+    out["oracle.budget_used"] = counts["oracle.calls"] / budget if budget else 0.0
 
     # The listener saw the untraced and the traced pass of every round.
     spark = recs["spark"][0]["totals"] if recs["spark"] else {}

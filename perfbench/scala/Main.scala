@@ -88,7 +88,8 @@ object Main {
       }
 
       val warm0 = System.nanoTime()
-      for (r <- 1 to w.warmupRounds; op <- w.ops(seed ^ 0x3a3a3aL, -r)) runOp(w.run(op))
+      w.prime()
+      for (r <- 1 to w.warmupRounds; op <- w.ops(seed ^ 0x3a3a3aL, -r)) runOp(w.run(op, NoSpans))
       val warmupS = (System.nanoTime() - warm0) / 1e9
 
       out.line(Map(
@@ -148,7 +149,7 @@ object Main {
         val passes = if (!traced) Seq(false) else if (round % 2 == 0) Seq(false, true) else Seq(true, false)
         passes.foldLeft(Option.empty[Vector[Option[OpResult]]]) { (first, isTraced) =>
           Some(pass(round, ops, isTraced) { i =>
-            val r = if (isTraced) Traced.run(w, ops(i), tracer) else w.run(ops(i))
+            val r = if (isTraced) Traced.run(w, ops(i), tracer) else w.run(ops(i), NoSpans)
             if (first.exists(_(i).exists(_.outputs != r.outputs)))
               throw new IllegalStateException("traced and untraced results differ")
             r

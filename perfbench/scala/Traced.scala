@@ -9,10 +9,10 @@ import scala.collection.mutable
 /** The traced run. This is the only file that wraps the program's
   * samplers and oracles or calls its lower-level overloads; the untraced
   * run in [[Workload]] uses only the stable entry points. Spans are
-  * recorded from here, around the calls into each layer, and kept in
-  * memory until the run ends.
+  * recorded around the calls into each layer and kept in memory until the
+  * run ends.
   */
-final class Tracer {
+final class Tracer extends Spans {
   private val names = mutable.ArrayBuffer.empty[String]
   private val nameIds = mutable.HashMap.empty[String, Int]
   /** Six longs per span: id, parent, round, name id, start ns, end ns. */
@@ -33,7 +33,7 @@ final class Tracer {
     nextId += 1
   }
 
-  def span[A](name: String)(f: => A): A = {
+  def apply[A](name: String)(f: => A): A = {
     val parent = current
     val id = nextId
     nextId += 1
@@ -55,19 +55,32 @@ final class Tracer {
   }
 }
 
-/** Times oracle calls in batches: one `oracle.query` span runs from the
-  * first call after a sampler draw to the end of the last call before the
-  * next draw, so a span per record is never needed.
+/** Counts and times oracle calls. Calls are timed in batches: one
+  * `oracle.query` span runs from the first call after a sampler draw to
+  * the end of the last call before the next draw, so a span per record is
+  * never needed.
   */
 final class OracleMeter(tr: Tracer) {
   private var batchStart = -1L
   private var lastEnd = 0L
+  private var calls = 0L
 
   private def timed[A](f: => A): A = {
     if (batchStart < 0) batchStart = System.nanoTime()
+    calls += 1
     val r = f
     lastEnd = System.nanoTime()
     r
+  }
+
+  /** Check the calls counted since the last settle against the charge the
+    * program reports for them, and record them as `oracle.calls`.
+    */
+  def settle(what: String, charged: Long): Unit = {
+    close()
+    Workload.checkCalls(what, calls, charged)
+    tr.count("oracle.calls", calls.toDouble)
+    calls = 0
   }
 
   def stratified(f: (Int, Int) => (Boolean, Double)): (Int, Int) => (Boolean, Double) = (k, i) => timed(f(k, i))
@@ -86,7 +99,7 @@ final class TimingSampler(inner: StratumSampler, tr: Tracer, meter: OracleMeter)
   def next(count: Int): Array[Int] = {
     meter.close()
     tr.count("sampling.next_calls", 1)
-    val out = tr.span("sampling.next")(inner.next(count))
+    val out = tr("sampling.next")(inner.next(count))
     tr.count("sampling.indices_drawn", out.length)
     out
   }
@@ -129,18 +142,16 @@ object Traced {
   import Workload._
 
   /** Run `op` with every reachable layer wrapped. Must return exactly what
-    * [[Workload.run]] returns for the same op.
+    * the untraced run returns for the same op.
     */
   def run(w: Workload, op: Op, tr: Tracer): OpResult = w match {
-    case q: QuerySpark =>
-      val res = tr.span("core.spark_run")(AbaeSpark.run(q.df, op.budget, Params, op.seed))
-      val rows = tr.span("core.sampled_collect")(res.sampled.select("stratum", "positive", "stat").collect())
-      q.result(op, res, rows, bootstrap(drawsOf(rows, Params.k), op, tr))
-
     case t: Trials if SingleTrials.Kinds(op.kind) => single(t.single, op, tr)
-    case t: Trials => ext(t.ext, op, tr)
+    case _ => w.run(op, tr)
   }
 
+  /** [[SingleTrials.run]] through the lower-level overloads, so that the
+    * samplers and oracles can be wrapped.
+    */
   private def single(t: SingleTrials, op: Op, tr: Tracer): OpResult = {
     val (rec, strat) = t.data(op.cell)
     val meter = new OracleMeter(tr)
@@ -149,49 +160,25 @@ object Traced {
     val samplers = Vector.tabulate(strat.k) { s =>
       new TimingSampler(new PermutationSampler(strat.strata(s).n, Rng.stream(op.seed, s)), tr, meter)
     }
-    val a = tr.span("core.abae_run") {
+    val a = tr("core.abae_run") {
       val r = Abae.run(strat.sizes, meter.stratified(oracle.query), samplers, op.budget, Params)
       meter.close()
       r
     }
+    meter.settle("Abae.run", a.oracleCalls)
     op.kind match {
       case "estimate" =>
         val flat = new FlatOracle(rec)
         // The stream UniformSampling.run(records, budget, seed) draws from.
-        val u = tr.span("core.uniform_run") {
+        val u = tr("core.uniform_run") {
           val r = UniformSampling.run(rec.n, meter.flat(flat.query), op.budget, Rng.stream(op.seed, Long.MaxValue / 3))
           meter.close()
           r
         }
-        OpResult(op, Array(a.estimate), Array(u.estimate), Array(rec.truth), None,
-          Vector(a.oracleCalls, u.oracleCalls))
-      case "ci" =>
-        val ci = bootstrap(a.draws, op, tr)
-        OpResult(op, Array(a.estimate), Array.empty, Array(rec.truth), Some((ci.lo, ci.hi)),
-          Vector(a.oracleCalls))
+        meter.settle("UniformSampling.run", u.oracleCalls)
+        t.estimate(op, rec, a, u)
+      case "ci" => t.interval(op, rec, a, bootstrap(a.draws, op, tr))
     }
-  }
-
-  private def ext(x: ExtTrials, op: Op, tr: Tracer): OpResult = op.kind match {
-    case "groupby-single" =>
-      val a = tr.span("core.groupby_single")(
-        GroupBy.runSingleOracle(x.celeba, op.budget, GroupBy.GroupByParams(k = 5), op.seed))
-      val u = tr.span("core.groupby_uniform")(GroupBy.uniformSingleOracle(x.celeba, op.budget, op.seed))
-      x.grouped(op, x.celeba, a, u)
-    case "groupby-multi" =>
-      val k = x.multiK(op.budget / x.synthetic.g)
-      val a = tr.span("core.groupby_multi")(
-        GroupBy.runMultiOracle(x.synthetic, op.budget, GroupBy.GroupByParams(k = k), op.seed))
-      val u = tr.span("core.groupby_uniform")(GroupBy.uniformMultiOracle(x.synthetic, op.budget, op.seed))
-      x.grouped(op, x.synthetic, a, u)
-    case "combine" =>
-      val (pos, stat, px) = x.keywords
-      x.combined(op, tr.span("core.combine")(ProxyCombiner.run(pos, stat, px, op.budget, Params, op.seed)))
-  }
-
-  private def bootstrap(draws: Seq[StratumDraws], op: Op, tr: Tracer): Bootstrap.Interval = {
-    tr.count("core.bootstrap_resamples", Beta.toDouble * draws.map(_.n).sum)
-    tr.span("core.bootstrap_ci")(Bootstrap.ci(draws, Beta, Alpha, ciRng(op)))
   }
 
   /** Layers that run inside a kernel and cannot be wrapped from outside,

@@ -52,6 +52,19 @@ final class SetupClock {
   }
 }
 
+/** Where a workload marks the layers it calls into. The untraced run
+  * passes [[NoSpans]]; the traced run passes its [[Tracer]].
+  */
+trait Spans {
+  def apply[A](name: String)(f: => A): A
+  def count(name: String, v: Double): Unit
+}
+
+object NoSpans extends Spans {
+  def apply[A](name: String)(f: => A): A = f
+  def count(name: String, v: Double): Unit = ()
+}
+
 /** Size, exhaustive answer and positive rate of one generated dataset. */
 final case class Fingerprint(name: String, rows: Long, truth: Seq[Double], positiveRate: Double)
 
@@ -65,7 +78,9 @@ sealed abstract class Workload {
   def setUp(spark: SparkSession, clock: SetupClock): Unit
   def fingerprints: Seq[Fingerprint]
   def ops(seed: Long, round: Int): Vector[Op]
-  def run(op: Op): OpResult
+  def run(op: Op, sp: Spans): OpResult
+  /** Runs before the warm-up rounds, to bring the JIT where long runs settle. */
+  def prime(): Unit = ()
 }
 
 object Workload {
@@ -90,6 +105,19 @@ object Workload {
   /** The bootstrap's own stream, distinct from the sampler's. */
   def ciRng(op: Op): Random = new Random(op.seed ^ 0x5eedc1L)
 
+  /** `Bootstrap.ci` at β=[[Beta]]; it resamples every draw β times. */
+  def bootstrap(draws: Seq[StratumDraws], op: Op, sp: Spans): Bootstrap.Interval = {
+    sp.count("core.bootstrap_resamples", Beta.toDouble * draws.map(_.n).sum)
+    sp("core.bootstrap_ci")(Bootstrap.ci(draws, Beta, Alpha, ciRng(op)))
+  }
+
+  /** Fails the op when an oracle's own count differs from the charge the
+    * program reports, so a kernel cannot query more than it bills.
+    */
+  def checkCalls(what: String, observed: Long, charged: Long): Unit =
+    if (observed != charged)
+      throw new IllegalStateException(s"$what: oracle answered $observed calls, program charged $charged")
+
   /** Split collected `(stratum, positive, stat)` rows into per-stratum draws. */
   def drawsOf(rows: Array[org.apache.spark.sql.Row], k: Int): Vector[StratumDraws] =
     Vector.tabulate(k) { s =>
@@ -106,7 +134,7 @@ final class QuerySpark extends Workload {
   val Sf = 0.1
   val Budget = 10000
   val minRounds = 12
-  val warmupRounds = 5
+  val warmupRounds = 12
   var df: DataFrame = _
   private var truth = 0.0
 
@@ -128,17 +156,13 @@ final class QuerySpark extends Workload {
   def ops(seed: Long, round: Int): Vector[Op] =
     Vector(Op("query", "night-street", Budget, opSeed(seed, round, 0)))
 
-  def run(op: Op): OpResult = {
-    val res = AbaeSpark.run(df, op.budget, Params, op.seed)
-    val rows = res.sampled.select("stratum", "positive", "stat").collect()
-    result(op, res, rows, Bootstrap.ci(drawsOf(rows, Params.k), Beta, Alpha, ciRng(op)))
-  }
-
-  def result(op: Op, res: AbaeSpark.SparkResult, rows: Array[org.apache.spark.sql.Row],
-      ci: Bootstrap.Interval): OpResult = {
+  def run(op: Op, sp: Spans): OpResult = {
+    val res = sp("core.spark_run")(AbaeSpark.run(df, op.budget, Params, op.seed))
+    val rows = sp("core.sampled_collect")(res.sampled.select("stratum", "positive", "stat").collect())
     // The sampled rows are exactly the labeled ones: their count is the charge.
-    if (rows.length != res.oracleCalls)
-      throw new IllegalStateException(s"collected ${rows.length} sampled rows, charged ${res.oracleCalls} calls")
+    checkCalls("sampled rows", rows.length, res.oracleCalls)
+    sp.count("oracle.calls", rows.length)
+    val ci = bootstrap(drawsOf(rows, Params.k), op, sp)
     OpResult(op, Array(res.estimate), Array.empty, Array(truth), Some((ci.lo, ci.hi)), Vector(res.oracleCalls))
   }
 }
@@ -166,11 +190,45 @@ final class Trials extends Workload {
     single.ops(next) ++ ext.ops(next)
   }
 
-  def run(op: Op): OpResult = if (SingleTrials.Kinds(op.kind)) single.run(op) else ext.run(op)
+  def run(op: Op, sp: Spans): OpResult = if (SingleTrials.Kinds(op.kind)) single.run(op) else ext.run(op, sp)
+
+  /** The JIT compiles `java.util.TimSort`'s merges, which every
+    * `ntileIndices` sort runs, with only the branches its first inputs
+    * took. A later input that takes a new one (galloping over tied or
+    * presorted scores) deoptimizes them, and GroupBy and combine trials run
+    * ~1.4× slower from then on. A figure run of hundreds of trials gets
+    * there early; a run of a few rounds only sometimes. Sorting such scores
+    * first makes every run start from that state.
+    */
+  override def prime(): Unit = {
+    val n = 200000
+    val rng = new Random(7)
+    val shapes = Seq[Int => Double](
+      _ => rng.nextDouble(),
+      _ => rng.nextInt(50).toDouble,
+      i => i % 1000 + rng.nextDouble() * 1e-3,
+      i => -(i % 777).toDouble,
+      i => if (i < n / 2) i.toDouble else (i - n / 2) * 0.5 + rng.nextInt(3))
+    for (_ <- 1 to 2; f <- shapes) StratifiedLocal.ntileIndices(Array.tabulate(n)(f), Params.k)
+  }
 }
 
 object SingleTrials {
   val Kinds = Set("estimate", "ci")
+}
+
+/** Trials of each kind in one cell of a round. The figure suite
+  * (`bench/src/test/scala/repro/bench`) runs 300 trials per cell of ABAE
+  * against uniform sampling (Figs. 2–4 and 9), 50 bootstrap trials (Fig. 5,
+  * at β=200 where this benchmark uses the paper's β=1000), 100 GroupBy
+  * trials (Figs. 7 and 8) and 150 proxy-combination trials (Fig. 12); a
+  * round keeps those ratios, scaled down 50 times.
+  */
+object TrialMix {
+  val Estimate = 6
+  val Ci = 1
+  val GroupBy = 2
+  val Combine = 3
 }
 
 /** Monte-Carlo kernel behind Figs. 2–5 and 9–11: ABAE against uniform
@@ -180,8 +238,6 @@ object SingleTrials {
 final class SingleTrials {
   import Workload._
   val Budgets = Seq(1000, 4000, 10000)
-  /** Estimate trials per ci trial in each cell of a round. */
-  val EstimatePerCell = 40
   val profiles = Seq(Datasets.nightStreet, Datasets.trec05p)
   val data = scala.collection.mutable.LinkedHashMap.empty[String, (LocalRecords, StratifiedLocal)]
 
@@ -200,23 +256,33 @@ final class SingleTrials {
     for {
       p <- profiles.toVector
       b <- Budgets
-      op <- Vector.fill(EstimatePerCell)(next("estimate", p.name, b)) :+ next("ci", p.name, b)
+      op <- Vector.fill(TrialMix.Estimate)(next("estimate", p.name, b)) ++
+        Vector.fill(TrialMix.Ci)(next("ci", p.name, b))
     } yield op
 
+  /** The untraced trial; [[Traced]] runs the same calls with the samplers
+    * and oracles wrapped.
+    */
   def run(op: Op): OpResult = {
     val (rec, strat) = data(op.cell)
-    val a = Abae.run(strat, new CountingOracle(strat), op.budget, Params, op.seed)
+    val oracle = new CountingOracle(strat)
+    val a = Abae.run(strat, oracle, op.budget, Params, op.seed)
+    checkCalls("Abae.run", oracle.calls, a.oracleCalls)
     op.kind match {
       case "estimate" =>
+        // UniformSampling.run(records, budget, seed) keeps its oracle to
+        // itself: its charge is the program's own count.
         val u = UniformSampling.run(rec, op.budget, op.seed)
-        OpResult(op, Array(a.estimate), Array(u.estimate), Array(rec.truth), None,
-          Vector(a.oracleCalls, u.oracleCalls))
-      case "ci" =>
-        val ci = Bootstrap.ci(a.draws, Beta, Alpha, ciRng(op))
-        OpResult(op, Array(a.estimate), Array.empty, Array(rec.truth), Some((ci.lo, ci.hi)),
-          Vector(a.oracleCalls))
+        estimate(op, rec, a, u)
+      case "ci" => interval(op, rec, a, bootstrap(a.draws, op, NoSpans))
     }
   }
+
+  def estimate(op: Op, rec: LocalRecords, a: AbaeResult, u: UniformSampling.Result): OpResult =
+    OpResult(op, Array(a.estimate), Array(u.estimate), Array(rec.truth), None, Vector(a.oracleCalls, u.oracleCalls))
+
+  def interval(op: Op, rec: LocalRecords, a: AbaeResult, ci: Bootstrap.Interval): OpResult =
+    OpResult(op, Array(a.estimate), Array.empty, Array(rec.truth), Some((ci.lo, ci.hi)), Vector(a.oracleCalls))
 }
 
 /** Extension kernels behind Figs. 7, 8 and 12: GroupBy with one oracle and
@@ -227,8 +293,6 @@ final class ExtTrials {
   import Workload._
   val BudgetsPerGroup = Seq(500, 2000)
   val CombineBudgets = Seq(2000, 10000)
-  /** Combine trials per budget in a round (each is ~1/5 of a GroupBy trial). */
-  val CombinePerBudget = 4
   var celeba: GroupedRecords = _
   var synthetic: GroupedRecords = _
   var keywords: (Array[Boolean], Array[Double], Vector[Array[Double]]) = _
@@ -259,29 +323,36 @@ final class ExtTrials {
 
   def ops(next: (String, String, Int) => Op): Vector[Op] =
     BudgetsPerGroup.toVector.flatMap { bpg =>
-      Vector(next("groupby-single", "celeba(hair)", bpg * celeba.g),
-        next("groupby-multi", "synthetic(16/12/9/5%)", bpg * synthetic.g))
-    } ++ CombineBudgets.toVector.flatMap(b => Vector.fill(CombinePerBudget)(next("combine", "trec05p(keywords)", b)))
+      Vector.fill(TrialMix.GroupBy)(next("groupby-single", "celeba(hair)", bpg * celeba.g)) ++
+        Vector.fill(TrialMix.GroupBy)(next("groupby-multi", "synthetic(16/12/9/5%)", bpg * synthetic.g))
+    } ++ CombineBudgets.toVector.flatMap(b => Vector.fill(TrialMix.Combine)(next("combine", "trec05p(keywords)", b)))
 
-  def run(op: Op): OpResult = op.kind match {
+  /** These kernels keep their oracles to themselves: the calls recorded
+    * are the charge each reports.
+    */
+  def run(op: Op, sp: Spans): OpResult = op.kind match {
     case "groupby-single" =>
-      val a = GroupBy.runSingleOracle(celeba, op.budget, GroupBy.GroupByParams(k = 5), op.seed)
-      val u = GroupBy.uniformSingleOracle(celeba, op.budget, op.seed)
-      grouped(op, celeba, a, u)
+      val a = sp("core.groupby_single")(
+        GroupBy.runSingleOracle(celeba, op.budget, GroupBy.GroupByParams(k = 5), op.seed))
+      val u = sp("core.groupby_uniform")(GroupBy.uniformSingleOracle(celeba, op.budget, op.seed))
+      grouped(op, celeba, a, u, sp)
     case "groupby-multi" =>
       val k = multiK(op.budget / synthetic.g)
-      val a = GroupBy.runMultiOracle(synthetic, op.budget, GroupBy.GroupByParams(k = k), op.seed)
-      val u = GroupBy.uniformMultiOracle(synthetic, op.budget, op.seed)
-      grouped(op, synthetic, a, u)
+      val a = sp("core.groupby_multi")(
+        GroupBy.runMultiOracle(synthetic, op.budget, GroupBy.GroupByParams(k = k), op.seed))
+      val u = sp("core.groupby_uniform")(GroupBy.uniformMultiOracle(synthetic, op.budget, op.seed))
+      grouped(op, synthetic, a, u, sp)
     case "combine" =>
       val (pos, stat, px) = keywords
-      combined(op, ProxyCombiner.run(pos, stat, px, op.budget, Params, op.seed))
+      val r = sp("core.combine")(ProxyCombiner.run(pos, stat, px, op.budget, Params, op.seed))
+      sp.count("oracle.calls", r.oracleCalls)
+      OpResult(op, Array(r.estimate), Array.empty, Array(keywordTruth), None, Vector(r.oracleCalls))
   }
 
-  def grouped(op: Op, data: GroupedRecords, a: GroupBy.GroupByResult, u: GroupBy.GroupByResult): OpResult =
+  def grouped(op: Op, data: GroupedRecords, a: GroupBy.GroupByResult, u: GroupBy.GroupByResult,
+      sp: Spans): OpResult = {
+    sp.count("oracle.calls", a.oracleCalls + u.oracleCalls)
     OpResult(op, a.estimates.toArray, u.estimates.toArray, data.truth.toArray, None,
       Vector(a.oracleCalls, u.oracleCalls))
-
-  def combined(op: Op, r: ProxyCombiner.CombinedResult): OpResult =
-    OpResult(op, Array(r.estimate), Array.empty, Array(keywordTruth), None, Vector(r.oracleCalls))
+  }
 }

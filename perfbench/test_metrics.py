@@ -40,6 +40,8 @@ def synthetic_records(traced):
                       "rows": [[2, 1, 0, 0, 1_000_000, 2_000_000], [3, 1, 0, 1, 2_000_000, 5_000_000],
                                [1, 0, 0, 2, 0, 10_000_000], [4, 0, 0, 3, 10_000_000, 50_000_000]]})
         lines.append({"type": "count", "round": 0, "name": "sampling.next_calls", "value": 10.0})
+        lines.append({"type": "count", "round": 0, "name": "oracle.calls", "value": 396.0})
+        lines.append({"type": "count", "round": 1, "name": "oracle.calls", "value": 396.0})
         lines.append({"type": "probe", "name": "data.ntile_probe_ms", "ms": [3.0, 1.0, 2.0]})
         lines.append({"type": "spark", "totals": {"spark.jobs": 8.0, "spark.task_ms_max": 40.0}})
     lines.append({"type": "end"})
@@ -68,6 +70,20 @@ class TailTest(unittest.TestCase):
             # One percentile higher would leave fewer than ten beyond.
             self.assertLess(n - math.ceil((p + 1) * n / 100), 10)
             self.assertEqual(value, sorted(xs)[math.ceil(p * n / 100) - 1])
+
+
+    def test_tail_below_the_median_is_withheld(self):
+        # Fifteen queries: ten beyond leaves p33, under the median.
+        value, unit, better, detail = metrics.tail_metric(list(range(1, 16)))
+        self.assertIsNone(value)
+        self.assertEqual(detail, {"percentile": 33, "samples": 15})
+        self.assertEqual(metrics.tail_metric([])[3], {"percentile": None, "samples": 0})
+
+    def test_tail_at_or_above_the_median_is_reported(self):
+        self.assertEqual(metrics.tail_metric(list(range(1, 21))),
+                         (10, "ms", "lower", {"percentile": 50, "samples": 20}))
+        self.assertEqual(metrics.tail_metric(list(range(1, 41)))[::3],
+                         (30, {"percentile": 75, "samples": 40}))
 
 
 class SelfTimeTest(unittest.TestCase):
@@ -144,7 +160,6 @@ class OutputTest(unittest.TestCase):
         e2e = metrics.end_to_end(synthetic_records(traced=False))
         self.assertAlmostEqual(e2e["setup_s"], 5.0 + 2.5 + 1.0)
         self.assertAlmostEqual(e2e["round_ms_p50"], 54.0)
-        self.assertAlmostEqual(e2e["ops_per_s"], 6 / 0.108)
         self.assertAlmostEqual(e2e["oracle_calls_per_call"], (98 + 100 + 98 + 100 + 98) * 2 / 10)
 
     def test_report_names_the_workload_metrics(self):
@@ -155,6 +170,12 @@ class OutputTest(unittest.TestCase):
         self.assertAlmostEqual(rep["ci_coverage"][0], 1.0)
         # Errors 0.1 and 0 in each of two rounds, relative to truth 2.
         self.assertAlmostEqual(rep["abae_rmse_rel"][0], math.sqrt(0.005) / 2)
+
+    def test_oracle_calls_are_the_counted_ones(self):
+        layer = metrics.per_layer(synthetic_records(traced=True))
+        self.assertAlmostEqual(layer["oracle.calls"], 396.0)
+        # Five estimator calls at budget 100 per round.
+        self.assertAlmostEqual(layer["oracle.budget_used"], 792.0 / 1000)
 
     def test_overhead_pairs_rounds(self):
         plain = [{"round": 0, "ms": 100.0}, {"round": 1, "ms": 200.0}]
