@@ -128,12 +128,8 @@ object GroupBy {
     val n = data.n
     require(budget >= 2 * g * k, s"budget $budget too small for $g groups × $k strata")
 
-    val strataIdx = data.proxies.map(p => repro.data.StratifiedLocal.ntileIndices(p, k))
-    val stratumOf = strataIdx.map { idx =>
-      val m = new Array[Int](n)
-      for (s <- 0 until k; i <- idx(s)) m(i) = s
-      m
-    }
+    val strata = data.strata(k)
+    val stratumOf = strata.map(_.stratumOf)
     val oracle = new SingleGroupOracle(data)
     val rng = Rng.stream(seed, 0)
 
@@ -142,11 +138,12 @@ object GroupBy {
     val stage1 = new PermutationSampler(n, rng).next(n1)
     stage1.foreach(oracle.query)
 
+    // A record drawn once is drawn in every stratification.
     val cellDraws = Vector.fill(g, k)(ArrayBuffer.empty[Int])
-    val drawnIn = Vector.fill(g)(new Array[Boolean](n))
-    for (i <- stage1; l <- 0 until g) {
-      cellDraws(l)(stratumOf(l)(i)) += i
-      drawnIn(l)(i) = true
+    val drawn = new Array[Boolean](n)
+    for (i <- stage1) {
+      for (l <- 0 until g) cellDraws(l)(stratumOf(l)(i)) += i
+      drawn(i) = true
     }
 
     def cellEst(l: Int, targetG: Int): Vector[StratumEstimates] =
@@ -203,13 +200,10 @@ object GroupBy {
       val budgetL = (lambdas(l) * n2).toInt
       for (s <- 0 until k) {
         val m = (budgetL * tHat(l)(s)).toInt
-        val drawn = PoolSampling.sample(strataIdx(l)(s), i => drawnIn(l)(i), m, rng)
-        drawn.foreach { i =>
+        PoolSampling.sample(strata(l).indices(s), i => drawn(i), m, rng).foreach { i =>
           oracle.query(i)
-          for (l2 <- 0 until g) {
-            cellDraws(l2)(stratumOf(l2)(i)) += i
-            drawnIn(l2)(i) = true
-          }
+          for (l2 <- 0 until g) cellDraws(l2)(stratumOf(l2)(i)) += i
+          drawn(i) = true
         }
       }
     }
@@ -241,10 +235,10 @@ object GroupBy {
     val k = params.k
     require(budget >= 2 * g * k, s"budget $budget too small for $g groups × $k strata")
 
-    val strataIdx = data.proxies.map(p => repro.data.StratifiedLocal.ntileIndices(p, k))
+    val strata = data.strata(k)
     val oracle = new PerGroupOracle(data)
     val samplers = Vector.tabulate(g, k)((l, s) =>
-      new PermutationSampler(strataIdx(l)(s).length, Rng.stream(seed, l.toLong * k + s + 1)))
+      new PermutationSampler(strata(l).size(s), Rng.stream(seed, l.toLong * k + s + 1)))
 
     def draw(l: Int, s: Int, m: Int): StratumDraws = {
       val local = samplers(l)(s).next(m)
@@ -252,7 +246,7 @@ object GroupBy {
       val stats = new Array[Double](local.length)
       var i = 0
       while (i < local.length) {
-        val (pos, st) = oracle.query(l, strataIdx(l)(s)(local(i)))
+        val (pos, st) = oracle.query(l, strata(l).record(s, local(i)))
         flags(i) = pos
         stats(i) = st
         i += 1

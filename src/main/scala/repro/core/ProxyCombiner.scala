@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.data.StratifiedLocal
+import repro.data.Stratification
 import repro.ml.LogisticRegression
 import repro.sampling.{PermutationSampler, PoolSampling, Rng}
 
@@ -81,9 +81,8 @@ object ProxyCombiner {
     val (scores, model) = combineScores(proxies, pilotIdx, pilotPos)
 
     // Restratify on the learned score; map the pilot into the new strata.
-    val strataIdx = StratifiedLocal.ntileIndices(scores, k)
-    val stratumOf = new Array[Int](n)
-    for (s <- 0 until k; i <- strataIdx(s)) stratumOf(i) = s
+    val strat = Stratification(scores, k)
+    val stratumOf = strat.stratumOf
     val drawn = new Array[Boolean](n)
     pilotIdx.foreach(drawn(_) = true)
     val cellFlags = Array.fill(k)(Array.newBuilder[Boolean])
@@ -102,7 +101,7 @@ object ProxyCombiner {
     // Stage 2: ⌊N2·T̂_k⌋ uniform draws from each stratum's remaining pool.
     val finalEst = Vector.tabulate(k) { s =>
       val m = (n2 * tHat(s)).toInt
-      val extraIdx = PoolSampling.sample(strataIdx(s), drawn, m, rng)
+      val extraIdx = PoolSampling.sample(strat.indices(s), drawn, m, rng)
       val extra = extraIdx.map(oracle)
       Estimators.fromDraws(pilotDraws(s) ++ StratumDraws(extra.map(_._1), extra.map(_._2)))
     }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.data.StratifiedLocal
+import repro.data.Stratification
 
 /** Proxy selection (§3.4): rank candidate proxies by the MSE each would
   * achieve, estimated with the Proposition-2 perfect-information /
@@ -33,9 +33,7 @@ object ProxySelection {
     require(pilotIdx.length == pilotPos.length && pilotIdx.length == pilotStat.length,
       "pilot arrays misaligned")
     proxies.map { scores =>
-      val strataIdx = StratifiedLocal.ntileIndices(scores, k)
-      val stratumOf = new Array[Int](scores.length)
-      for (s <- 0 until k; i <- strataIdx(s)) stratumOf(i) = s
+      val stratumOf = Stratification(scores, k).stratumOf
       val byStratum = Array.fill(k)(Array.newBuilder[Int])
       pilotIdx.indices.foreach(j => byStratum(stratumOf(pilotIdx(j))) += j)
       val est = byStratum.map { b =>

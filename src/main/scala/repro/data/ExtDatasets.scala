@@ -18,6 +18,9 @@ final case class MultiPredRecords(
 
 /** Group-by dataset: G mutually exclusive groups (`group(i)` in 0..G-1,
   * or -1 for no group), one proxy score array per group.
+  *
+  * The proxy arrays must not be mutated: [[strata]] keeps the first
+  * stratification it computes for each K.
   */
 final case class GroupedRecords(
     groupNames: Vector[String],
@@ -27,6 +30,14 @@ final case class GroupedRecords(
 ) {
   def n: Int = stat.length
   def g: Int = groupNames.length
+
+  private val strataByK = new java.util.concurrent.ConcurrentHashMap[Int, Vector[Stratification]]()
+
+  /** One stratification into `k` strata per group proxy, computed on the
+    * first call for each `k`.
+    */
+  def strata(k: Int): Vector[Stratification] =
+    strataByK.computeIfAbsent(k, k => proxies.map(Stratification(_, k)))
 
   /** Ground-truth per-group mean of the statistic. */
   lazy val truth: Vector[Double] = {

@@ -114,25 +114,102 @@ object StratifiedLocal {
 
   /** Record indices per stratum under ntile-by-(proxy, index) order. */
   def ntileIndices(proxy: Array[Double], k: Int): Array[Array[Int]] = {
-    val order = Array.range(0, proxy.length)
-      .sortBy(i => (proxy(i), i))
-    val sizes = ntileSizes(proxy.length, k)
-    val out = new Array[Array[Int]](k)
-    var offset = 0
-    var s = 0
-    while (s < k) {
-      out(s) = java.util.Arrays.copyOfRange(order, offset, offset + sizes(s))
-      offset += sizes(s)
-      s += 1
-    }
-    out
+    val strat = Stratification(proxy, k)
+    Array.tabulate(k)(strat.indices)
   }
 
   def apply(records: LocalRecords, k: Int): StratifiedLocal = {
-    val idx = ntileIndices(records.proxy, k)
-    StratifiedLocal(idx.toVector.map { ids =>
+    val strat = Stratification(records.proxy, k)
+    StratifiedLocal(Vector.tabulate(k) { s =>
+      val ids = strat.indices(s)
       StratumRecords(ids.map(records.positive), ids.map(records.stat))
     })
+  }
+}
+
+/** The ntile split of record indices `0 until n` into K strata by proxy
+  * score: `order` lists the records sorted by (proxy, index), and stratum
+  * `s` is `order(offsets(s) until offsets(s + 1))`, sized by
+  * [[StratifiedLocal.ntileSizes]]. Proxies compare as
+  * `java.lang.Double.compare` does (−0.0 < 0.0, every NaN above +∞ and
+  * equal to every other NaN), ties by index.
+  */
+final class Stratification private (order: Array[Int], offsets: Array[Int]) {
+  def k: Int = offsets.length - 1
+  def size(s: Int): Int = offsets(s + 1) - offsets(s)
+
+  /** The `j`-th record of stratum `s`, in proxy order. */
+  def record(s: Int, j: Int): Int = order(offsets(s) + j)
+
+  /** The records of stratum `s`, in proxy order (a fresh array). */
+  def indices(s: Int): Array[Int] = java.util.Arrays.copyOfRange(order, offsets(s), offsets(s + 1))
+
+  /** Stratum of each record. */
+  lazy val stratumOf: Array[Int] = {
+    val m = new Array[Int](order.length)
+    var s = 0
+    while (s < k) {
+      var j = offsets(s)
+      while (j < offsets(s + 1)) { m(order(j)) = s; j += 1 }
+      s += 1
+    }
+    m
+  }
+}
+
+object Stratification {
+  def apply(proxy: Array[Double], k: Int): Stratification = {
+    val offsets = StratifiedLocal.ntileSizes(proxy.length, k).scanLeft(0)(_ + _)
+    new Stratification(sortedOrder(proxy), offsets)
+  }
+
+  /** Indices of `proxy` sorted by (proxy, index): a stable LSD radix sort,
+    * one byte per pass, of keys whose unsigned order is
+    * `java.lang.Double.compare`'s. A pass whose byte is the same for every
+    * key is skipped.
+    */
+  private def sortedOrder(proxy: Array[Double]): Array[Int] = {
+    val n = proxy.length
+    var keys = new Array[Long](n)
+    var idx = Array.range(0, n)
+    val counts = new Array[Int](8 * 256)
+    var i = 0
+    while (i < n) {
+      // doubleToLongBits maps every NaN to one canonical value; flipping
+      // all bits of negatives and the sign bit of the rest orders the
+      // keys as unsigned longs.
+      val bits = java.lang.Double.doubleToLongBits(proxy(i))
+      val key = bits ^ ((bits >> 63) | Long.MinValue)
+      keys(i) = key
+      var d = 0
+      while (d < 8) { counts(d * 256 + ((key >>> (8 * d)) & 0xff).toInt) += 1; d += 1 }
+      i += 1
+    }
+    var keysTo = new Array[Long](n)
+    var idxTo = new Array[Int](n)
+    var d = 0
+    while (d < 8) {
+      val base = d * 256
+      val shift = 8 * d
+      if (n > 0 && counts(base + ((keys(0) >>> shift) & 0xff).toInt) != n) {
+        var sum = 0
+        var b = 0
+        while (b < 256) { val c = counts(base + b); counts(base + b) = sum; sum += c; b += 1 }
+        i = 0
+        while (i < n) {
+          val slot = base + ((keys(i) >>> shift) & 0xff).toInt
+          val to = counts(slot)
+          counts(slot) = to + 1
+          keysTo(to) = keys(i)
+          idxTo(to) = idx(i)
+          i += 1
+        }
+        val k = keys; keys = keysTo; keysTo = k
+        val x = idx; idx = idxTo; idxTo = x
+      }
+      d += 1
+    }
+    idx
   }
 }
 

@@ -61,7 +61,8 @@ class LocalSpec extends AnyFunSuite {
   }
 
   test("ntileIndices partitions all records") {
-    val proxy = Array.fill(97)(new Random(2).nextDouble())
+    val rng = new Random(2)
+    val proxy = Array.fill(97)(rng.nextDouble())
     val idx = StratifiedLocal.ntileIndices(proxy, 5)
     assert(idx.map(_.length).sum == 97)
     assert(idx.flatten.toSet == (0 until 97).toSet)
@@ -84,6 +85,49 @@ class LocalSpec extends AnyFunSuite {
     val idx = StratifiedLocal.ntileIndices(proxy, 2)
     assert(idx(0).toSeq == (0 until 5))
     assert(idx(1).toSeq == (5 until 10))
+  }
+
+  /** The (proxy, index) sort that ntile order is defined by, split into
+    * ntile sizes.
+    */
+  private def referenceNtile(proxy: Array[Double], k: Int): Seq[Seq[Int]] = {
+    val order = Array.range(0, proxy.length).sortBy(i => (proxy(i), i))
+    val ends = StratifiedLocal.ntileSizes(proxy.length, k).scanLeft(0)(_ + _)
+    (0 until k).map(s => order.slice(ends(s), ends(s + 1)).toSeq)
+  }
+
+  test("ntileIndices equals the reference (proxy, index) sort") {
+    val rng = new Random(4)
+    val bits = java.lang.Double.longBitsToDouble _
+    val specials = Array(
+      Double.NaN, bits(0x7ff0000000000001L), bits(0xfff8000000000123L), // NaN payloads
+      0.0, -0.0, Double.PositiveInfinity, Double.NegativeInfinity,
+      Double.MinPositiveValue, -Double.MinPositiveValue, bits(0x000fffffffffffffL), // subnormals
+      Double.MaxValue, -Double.MaxValue, 1.0, -1.0)
+    val inputs = Seq(
+      "random" -> Array.fill(1000)(rng.nextDouble()),
+      "signed" -> Array.fill(1000)(rng.nextGaussian() * 1e3),
+      "tied" -> Array.fill(1000)(rng.nextInt(7).toDouble),
+      "presorted" -> Array.tabulate(1000)(i => i * 0.01),
+      "reversed" -> Array.tabulate(1000)(i => -i * 0.01),
+      "special" -> Array.fill(500)(specials(rng.nextInt(specials.length))),
+      "empty" -> Array.empty[Double],
+      "single" -> Array(0.5),
+      "fewer than k" -> Array(0.3, Double.NaN, -0.0),
+    )
+    for ((name, proxy) <- inputs; k <- Seq(1, 2, 5, 7)) {
+      val got = StratifiedLocal.ntileIndices(proxy, k).map(_.toSeq).toSeq
+      assert(got == referenceNtile(proxy, k), s"$name, k=$k")
+    }
+  }
+
+  test("Stratification.stratumOf inverts the strata") {
+    val rng = new Random(5)
+    val strat = Stratification(Array.fill(103)(rng.nextInt(20).toDouble), 4)
+    for (s <- 0 until strat.k; j <- 0 until strat.size(s)) {
+      assert(strat.stratumOf(strat.record(s, j)) == s)
+      assert(strat.indices(s)(j) == strat.record(s, j))
+    }
   }
 
   // --------------------------------------------------------- StratifiedLocal
