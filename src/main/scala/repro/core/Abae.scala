@@ -65,22 +65,8 @@ object Abae {
     require(budget >= 2 * k, s"budget $budget too small for $k strata")
 
     val n1 = stage1PerStratum(budget, params)
-    var spent = 0L
-
-    def drawFrom(stratum: Int, count: Int): StratumDraws = {
-      val idx = samplers(stratum).next(count)
-      val flags = new Array[Boolean](idx.length)
-      val stats = new Array[Double](idx.length)
-      var i = 0
-      while (i < idx.length) {
-        val (pos, st) = oracle(stratum, idx(i))
-        flags(i) = pos
-        stats(i) = st
-        spent += 1
-        i += 1
-      }
-      StratumDraws(flags, stats)
-    }
+    def drawFrom(stratum: Int, count: Int): StratumDraws =
+      StratumDraws.label(samplers(stratum).next(count), oracle(stratum, _))
 
     // Stage 1: N1 uniform draws per stratum → pilot estimates.
     val stage1Draws = Vector.tabulate(k)(s => drawFrom(s, n1))
@@ -91,14 +77,13 @@ object Abae {
     val n2 = budget - stage1Draws.map(_.n).sum
     val tHat = Estimators.allocationFromPilot(stage1Est)
 
-    // Stage 2: ⌊N2·T̂_k⌋ further draws per stratum (the paper floors;
-    // the ≤ K−1 leftover draws are simply unspent).
-    val stage2Draws = Vector.tabulate(k)(s => drawFrom(s, (n2 * tHat(s)).toInt))
+    // Stage 2: ⌊N2·T̂_k⌋ further draws per stratum.
+    val m = Estimators.stage2Sizes(n2, tHat)
+    val stage2Draws = Vector.tabulate(k)(s => drawFrom(s, m(s)))
+    val draws = Vector.tabulate(k)(s => stage1Draws(s) ++ stage2Draws(s))
 
     // Final estimates over both stages (or Stage 2 only, for the lesion).
-    val finalDraws =
-      if (params.reuse) Vector.tabulate(k)(s => stage1Draws(s) ++ stage2Draws(s))
-      else stage2Draws
+    val finalDraws = if (params.reuse) draws else stage2Draws
     val finalEst = finalDraws.map(Estimators.fromDraws)
 
     AbaeResult(
@@ -106,8 +91,8 @@ object Abae {
       perStratum = finalEst,
       stage1 = stage1Est,
       allocation = tHat,
-      draws = Vector.tabulate(k)(s => stage1Draws(s) ++ stage2Draws(s)),
-      oracleCalls = spent,
+      draws = draws,
+      oracleCalls = draws.map(_.n.toLong).sum,
     )
   }
 

@@ -95,8 +95,9 @@ object AbaeSpark {
       val tHat = Estimators.allocationFromPilot(stage1Est)
 
       // Per-stratum final cutoff rank: n1 + ⌊N2·T̂_k⌋, as a CASE column.
+      val m = Estimators.stage2Sizes(n2, tHat)
       val cutoff = (1 to k).foldLeft(lit(0)) { (acc, s) =>
-        when(col("stratum") === s, lit(n1 + (n2 * tHat(s - 1)).toInt)).otherwise(acc)
+        when(col("stratum") === s, lit(n1 + m(s - 1))).otherwise(acc)
       }
       val sampled = ranked.filter(col("rk") <= cutoff)
       val finalCut = if (params.reuse) sampled else sampled.filter(col("rk") > n1)

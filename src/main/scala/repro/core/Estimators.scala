@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.data.Stratification
+
 /** Per-stratum plug-in estimates (Algorithm 1, lines 10–12 / 18–19).
   *
   * @param draws    number of records sampled from the stratum, |R_k|
@@ -37,6 +39,36 @@ final case class StratumDraws(flags: Array[Boolean], stats: Array[Double]) {
 
 object StratumDraws {
   val empty: StratumDraws = StratumDraws(Array.emptyBooleanArray, Array.emptyDoubleArray)
+
+  /** Label the records `idx` through `oracle`, one call each, in order. */
+  def label(idx: Array[Int], oracle: Int => (Boolean, Double)): StratumDraws = {
+    val flags = new Array[Boolean](idx.length)
+    val stats = new Array[Double](idx.length)
+    var i = 0
+    while (i < idx.length) {
+      val (pos, st) = oracle(idx(i))
+      flags(i) = pos
+      stats(i) = st
+      i += 1
+    }
+    StratumDraws(flags, stats)
+  }
+
+  /** File the draws `d` of records `idx` (aligned) into the strata of
+    * `strat`, keeping draw order within each stratum — how a pilot drawn
+    * outside a stratification becomes its per-stratum pilot.
+    */
+  def byStratum(strat: Stratification, idx: Array[Int], d: StratumDraws): Vector[StratumDraws] = {
+    require(idx.length == d.n, "indices/draws length mismatch")
+    val stratumOf = strat.stratumOf
+    val members = Array.fill(strat.k)(Array.newBuilder[Int])
+    var j = 0
+    while (j < idx.length) { members(stratumOf(idx(j))) += j; j += 1 }
+    members.iterator.map { b =>
+      val js = b.result()
+      StratumDraws(js.map(d.flags), js.map(d.stats))
+    }.toVector
+  }
 }
 
 /** Estimator arithmetic shared by the local and Spark engines, plus the
@@ -103,6 +135,14 @@ object Estimators {
     val sigma = est.map(e => if (e.sigmaHat > 0) e.sigmaHat else pooled).toArray
     allocation(est.map(_.pHat).toArray, sigma)
   }
+
+  /** Stage-2 draw counts ⌊n2·T̂_k⌋ per part, for shares `tHat` of the
+    * Stage-2 budget `n2` (the paper floors; the ≤ K−1 leftover draws are
+    * unspent). The one sizing rule of Algorithm 1 (line 16), also used to
+    * split a GroupBy's N2 across stratifications by Λ.
+    */
+  def stage2Sizes(n2: Int, tHat: Array[Double]): Array[Int] =
+    Array.tabulate(tHat.length)(s => (n2 * tHat(s)).toInt)
 
   /** Proposition 2: MSE of the optimal deterministic-draw allocation,
     * `(Σ_k √p_k σ_k)² / (N p_all²)`.

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.data.GroupedRecords
 import repro.optim.NelderMead
-import repro.sampling.{PermutationSampler, PoolSampling, Rng}
+import repro.sampling.{PermutationSampler, Rng}
 import scala.collection.mutable.ArrayBuffer
 
 /** Oracle that maps a record directly to its group key (§3.2, scenario 1:
@@ -77,38 +77,6 @@ object GroupBy {
     math.max(s, VarFloor)
   }
 
-  /** Realized variance estimate of a per-stratification group estimator,
-    * `Σ_k ŵ² σ̂² / B_k` over positive draw counts. Provided as the
-    * diagnostic behind the pooling analysis in DESIGN.md §3b (the paper's
-    * inverse-variance pooling would weight by 1/this); the shipped
-    * single-oracle estimator does not pool — see [[runSingleOracle]].
-    */
-  def realizedVariance(cells: IndexedSeq[StratumEstimates]): Double = {
-    val pSum = cells.map(_.pHat).sum
-    if (pSum == 0.0) return Double.PositiveInfinity
-    var s = 0.0
-    var k = 0
-    while (k < cells.length) {
-      val e = cells(k)
-      val w = e.pHat / pSum
-      if (w > 0) s += w * w * e.sigmaHat * e.sigmaHat / e.positives
-      k += 1
-    }
-    math.max(s, VarFloor)
-  }
-
-  private def drawsOf(records: GroupedRecords, idx: ArrayBuffer[Int], g: Int): StratumDraws = {
-    val flags = new Array[Boolean](idx.length)
-    val stats = new Array[Double](idx.length)
-    var i = 0
-    while (i < idx.length) {
-      flags(i) = records.group(idx(i)) == g
-      stats(i) = records.stat(idx(i))
-      i += 1
-    }
-    StratumDraws(flags, stats)
-  }
-
   // ------------------------------------------------------------ single oracle
 
   /** Single-oracle ABAE-GroupBy. Stage 1 samples uniformly (every label
@@ -129,25 +97,30 @@ object GroupBy {
     require(budget >= 2 * g * k, s"budget $budget too small for $g groups × $k strata")
 
     val strata = data.strata(k)
-    val stratumOf = strata.map(_.stratumOf)
     val oracle = new SingleGroupOracle(data)
     val rng = Rng.stream(seed, 0)
 
-    // Stage 1: one global uniform sample, visible to every stratification.
-    val n1 = math.max(g * k, (budget * params.stage1Frac).toInt)
-    val stage1 = new PermutationSampler(n, rng).next(n1)
-    stage1.foreach(oracle.query)
-
-    // A record drawn once is drawn in every stratification.
-    val cellDraws = Vector.fill(g, k)(ArrayBuffer.empty[Int])
+    // Every labeled record, in draw order. A record drawn once is drawn
+    // in every stratification.
+    val labeled = ArrayBuffer.empty[Int]
     val drawn = new Array[Boolean](n)
-    for (i <- stage1) {
-      for (l <- 0 until g) cellDraws(l)(stratumOf(l)(i)) += i
+    def label(idx: Array[Int]): Unit = idx.foreach { i =>
+      oracle.query(i)
+      labeled += i
       drawn(i) = true
     }
 
-    def cellEst(l: Int, targetG: Int): Vector[StratumEstimates] =
-      Vector.tabulate(k)(s => Estimators.fromDraws(drawsOf(data, cellDraws(l)(s), targetG)))
+    // Stage 1: one global uniform sample, visible to every stratification.
+    val n1 = math.max(g * k, (budget * params.stage1Frac).toInt)
+    label(new PermutationSampler(n, rng).next(n1))
+
+    // Per-cell estimates of group `targetG` from stratification l; the
+    // oracle's cache re-reveals labeled records at no charge.
+    def cellEst(l: Int, targetG: Int): Vector[StratumEstimates] = {
+      val idx = labeled.toArray
+      val d = StratumDraws.label(idx, i => { val (gi, st) = oracle.query(i); (gi == targetG, st) })
+      StratumDraws.byStratum(strata(l), idx, d).map(Estimators.fromDraws)
+    }
 
     // Within-stratification allocation: optimal for the stratification's
     // own group (T̂_{l,k} from p̂_{l,l,k}, σ̂_{l,l,k}, pooled-σ̂ repaired).
@@ -192,24 +165,21 @@ object GroupBy {
     // uniform over each cell's not-yet-drawn records so stage unions stay
     // uniform without replacement. Because the single oracle labels the
     // *group key* of every sampled record, each draw is usable by every
-    // stratification ("estimates for the other groups for free"): it is
-    // filed into its cell of all G stratifications, which stays valid
+    // stratification ("estimates for the other groups for free"): cellEst
+    // files it into its cell of all G stratifications, which stays valid
     // because a draw targeted by stratification l lands uniformly within
     // any cell of an independent stratification l'.
+    val budgets = Estimators.stage2Sizes(n2, lambdas)
     for (l <- 0 until g) {
-      val budgetL = (lambdas(l) * n2).toInt
+      val m = Estimators.stage2Sizes(budgets(l), tHat(l))
       for (s <- 0 until k) {
-        val m = (budgetL * tHat(l)(s)).toInt
-        PoolSampling.sample(strata(l).indices(s), i => drawn(i), m, rng).foreach { i =>
-          oracle.query(i)
-          for (l2 <- 0 until g) cellDraws(l2)(stratumOf(l2)(i)) += i
-          drawn(i) = true
-        }
+        val pool = strata(l).indices(s).filterNot(drawn(_))
+        label(new PermutationSampler(pool.length, rng).next(m(s)).map(pool(_)))
       }
     }
 
     // Final: group g is estimated from its own stratification, whose
-    // cells now hold EVERY labeled draw (cross-filed above). This
+    // cells hold EVERY labeled draw (cross-filed by cellEst). This
     // realizes the paper's "estimates for the other groups for free"
     // reuse; we deviate from its inverse-variance pooling across
     // stratifications because with a shared sample the pooled components
@@ -240,19 +210,8 @@ object GroupBy {
     val samplers = Vector.tabulate(g, k)((l, s) =>
       new PermutationSampler(strata(l).size(s), Rng.stream(seed, l.toLong * k + s + 1)))
 
-    def draw(l: Int, s: Int, m: Int): StratumDraws = {
-      val local = samplers(l)(s).next(m)
-      val flags = new Array[Boolean](local.length)
-      val stats = new Array[Double](local.length)
-      var i = 0
-      while (i < local.length) {
-        val (pos, st) = oracle.query(l, strata(l).record(s, local(i)))
-        flags(i) = pos
-        stats(i) = st
-        i += 1
-      }
-      StratumDraws(flags, stats)
-    }
+    def draw(l: Int, s: Int, m: Int): StratumDraws =
+      StratumDraws.label(samplers(l)(s).next(m), j => oracle.query(l, strata(l).record(s, j)))
 
     // Stage 1: N1/(G·K) per cell, each group charged to its own oracle.
     val n1cell = math.max(1, (budget * params.stage1Frac).toInt / (g * k))
@@ -279,13 +238,10 @@ object GroupBy {
     val lambdas = NelderMead.minimizeOnSimplex(objective, g).point
 
     // Stage 2 extends each cell's permutation — exact sample reuse.
+    val budgets = Estimators.stage2Sizes(n2, lambdas)
     val estimates = Vector.tabulate(g) { l =>
-      val budgetL = (lambdas(l) * n2).toInt
-      val cells = Vector.tabulate(k) { s =>
-        val extra = draw(l, s, (budgetL * tHat(l)(s)).toInt)
-        Estimators.fromDraws(stage1(l)(s) ++ extra)
-      }
-      Estimators.combine(cells)
+      val m = Estimators.stage2Sizes(budgets(l), tHat(l))
+      Estimators.combine(Vector.tabulate(k)(s => Estimators.fromDraws(stage1(l)(s) ++ draw(l, s, m(s)))))
     }
     GroupByResult(estimates, lambdas, oracle.calls)
   }
@@ -317,14 +273,7 @@ object GroupBy {
     val oracle = new PerGroupOracle(data)
     val per = budget / data.g
     val estimates = Vector.tabulate(data.g) { l =>
-      val idx = new PermutationSampler(data.n, Rng.stream(seed, 100 + l)).next(per)
-      var sum = 0.0
-      var cnt = 0
-      idx.foreach { i =>
-        val (pos, st) = oracle.query(l, i)
-        if (pos) { sum += st; cnt += 1 }
-      }
-      if (cnt == 0) 0.0 else sum / cnt
+      UniformSampling.run(data.n, oracle.query(l, _), per, Rng.stream(seed, 100 + l)).estimate
     }
     GroupByResult(estimates, Array.fill(data.g)(1.0 / data.g), oracle.calls)
   }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.data.Stratification
 import repro.ml.LogisticRegression
-import repro.sampling.{PermutationSampler, PoolSampling, Rng}
+import repro.sampling.{PermutationSampler, Rng}
 
 /** Proxy combination (§3.4): "ABAE can combine proxies by sampling
   * randomly in Stage 1 and using these samples to train a logistic
@@ -74,36 +74,24 @@ object ProxyCombiner {
     // per-stratum estimates.
     val n1 = math.max(k * 2, (budget * params.stage1Frac).toInt)
     val pilotIdx = new PermutationSampler(n, rng).next(n1)
-    val pilotRes = pilotIdx.map(oracle)
-    val pilotPos = pilotRes.map(_._1)
-    val pilotStat = pilotRes.map(_._2)
+    val pilot = StratumDraws.label(pilotIdx, oracle)
 
-    val (scores, model) = combineScores(proxies, pilotIdx, pilotPos)
+    val (scores, model) = combineScores(proxies, pilotIdx, pilot.flags)
 
     // Restratify on the learned score; map the pilot into the new strata.
     val strat = Stratification(scores, k)
-    val stratumOf = strat.stratumOf
+    val pilotDraws = StratumDraws.byStratum(strat, pilotIdx, pilot)
+    val tHat = Estimators.allocationFromPilot(pilotDraws.map(Estimators.fromDraws))
+    val m = Estimators.stage2Sizes(budget - n1, tHat)
+
+    // Stage 2: ⌊N2·T̂_k⌋ uniform draws from each stratum's records outside
+    // the pilot.
     val drawn = new Array[Boolean](n)
     pilotIdx.foreach(drawn(_) = true)
-    val cellFlags = Array.fill(k)(Array.newBuilder[Boolean])
-    val cellStats = Array.fill(k)(Array.newBuilder[Double])
-    pilotIdx.indices.foreach { j =>
-      val s = stratumOf(pilotIdx(j))
-      cellFlags(s) += pilotPos(j)
-      cellStats(s) += pilotStat(j)
-    }
-    val pilotDraws = Array.tabulate(k)(s => StratumDraws(cellFlags(s).result(), cellStats(s).result()))
-    val pilotEst = pilotDraws.map(Estimators.fromDraws)
-
-    val n2 = budget - n1
-    val tHat = Estimators.allocationFromPilot(pilotEst.toIndexedSeq)
-
-    // Stage 2: ⌊N2·T̂_k⌋ uniform draws from each stratum's remaining pool.
     val finalEst = Vector.tabulate(k) { s =>
-      val m = (n2 * tHat(s)).toInt
-      val extraIdx = PoolSampling.sample(strat.indices(s), drawn, m, rng)
-      val extra = extraIdx.map(oracle)
-      Estimators.fromDraws(pilotDraws(s) ++ StratumDraws(extra.map(_._1), extra.map(_._2)))
+      val pool = strat.indices(s).filterNot(drawn(_))
+      val extra = StratumDraws.label(new PermutationSampler(pool.length, rng).next(m(s)).map(pool(_)), oracle)
+      Estimators.fromDraws(pilotDraws(s) ++ extra)
     }
     CombinedResult(Estimators.combine(finalEst), calls, model)
   }

@@ -30,17 +30,10 @@ object ProxySelection {
       k: Int,
       budget: Int,
   ): Vector[Double] = {
-    require(pilotIdx.length == pilotPos.length && pilotIdx.length == pilotStat.length,
-      "pilot arrays misaligned")
+    val pilot = StratumDraws(pilotPos, pilotStat)
     proxies.map { scores =>
-      val stratumOf = Stratification(scores, k).stratumOf
-      val byStratum = Array.fill(k)(Array.newBuilder[Int])
-      pilotIdx.indices.foreach(j => byStratum(stratumOf(pilotIdx(j))) += j)
-      val est = byStratum.map { b =>
-        val js = b.result()
-        Estimators.fromDraws(StratumDraws(js.map(pilotPos), js.map(pilotStat)))
-      }
-      Estimators.prop2Mse(est.map(_.pHat), est.map(_.sigmaHat), budget.toDouble)
+      val est = StratumDraws.byStratum(Stratification(scores, k), pilotIdx, pilot).map(Estimators.fromDraws)
+      Estimators.prop2Mse(est.map(_.pHat).toArray, est.map(_.sigmaHat).toArray, budget.toDouble)
     }
   }
 

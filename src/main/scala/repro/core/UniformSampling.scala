@@ -19,20 +19,8 @@ object UniformSampling {
   }
 
   def run(n: Int, oracle: Int => (Boolean, Double), budget: Int, rng: Random): Result = {
-    val sampler = new PermutationSampler(n, rng)
-    val idx = sampler.next(budget)
-    val flags = new Array[Boolean](idx.length)
-    val stats = new Array[Double](idx.length)
-    var i = 0
-    while (i < idx.length) {
-      val (pos, st) = oracle(idx(i))
-      flags(i) = pos
-      stats(i) = st
-      i += 1
-    }
-    val d = StratumDraws(flags, stats)
-    val est = Estimators.fromDraws(d)
-    Result(est.muHat, d, idx.length.toLong)
+    val d = StratumDraws.label(new PermutationSampler(n, rng).next(budget), oracle)
+    Result(Estimators.fromDraws(d).muHat, d, d.n.toLong)
   }
 
   /** 95%-style bootstrap CI for the uniform estimator: the draw set is a

@@ -98,9 +98,9 @@ object Datasets {
     (lo + hi) / 2
   }
 
-  private def sigmoidCol(c: Column): Column = lit(1.0) / (lit(1.0) + exp(-c))
+  private[data] def sigmoidCol(c: Column): Column = lit(1.0) / (lit(1.0) + exp(-c))
 
-  private def clamp01(c: Column): Column = least(lit(1.0), greatest(lit(0.0), c))
+  private[data] def clamp01(c: Column): Column = least(lit(1.0), greatest(lit(0.0), c))
 
   /** Statistic column for a family, given the latent `z` and a seed base. */
   private def statCol(fam: StatFamily, z: Column, seed: Long): Column = fam match {

@@ -59,8 +59,7 @@ final case class GroupedRecords(
   */
 object ExtDatasets {
 
-  private def sigmoidCol(c: Column): Column = lit(1.0) / (lit(1.0) + exp(-c))
-  private def clamp01(c: Column): Column = least(lit(1.0), greatest(lit(0.0), c))
+  import Datasets.{clamp01, sigmoidCol}
 
   // ---------------------------------------------------------------- multipred
 
@@ -128,25 +127,12 @@ object ExtDatasets {
 
   /** Collect a multipred DataFrame (columns `proxy_<x>`, `label_<x>`). */
   def collectMultiPred(df: DataFrame, names: Vector[String]): MultiPredRecords = {
-    val cols = Seq("id", "stat") ++ names.flatMap(nm => Seq(s"proxy_$nm", s"label_$nm"))
-    val rows = df.select(cols.map(col): _*).orderBy("id").collect()
-    val n = rows.length
-    val stat = new Array[Double](n)
-    val proxies = names.map(_ -> new Array[Double](n)).toMap
-    val labels = names.map(_ -> new Array[Boolean](n)).toMap
-    var i = 0
-    while (i < n) {
-      val r = rows(i)
-      stat(i) = r.getDouble(1)
-      var j = 0
-      while (j < names.length) {
-        proxies(names(j))(i) = r.getDouble(2 + 2 * j)
-        labels(names(j))(i) = r.getBoolean(3 + 2 * j)
-        j += 1
-      }
-      i += 1
-    }
-    MultiPredRecords(names, proxies, labels, stat)
+    val rows = LocalRecords.collectById(df, "stat" +: names.flatMap(nm => Seq(s"proxy_$nm", s"label_$nm")))
+    MultiPredRecords(
+      names,
+      names.zipWithIndex.map { case (nm, j) => nm -> rows.map(_.getDouble(2 + 2 * j)) }.toMap,
+      names.zipWithIndex.map { case (nm, j) => nm -> rows.map(_.getBoolean(3 + 2 * j)) }.toMap,
+      rows.map(_.getDouble(1)))
   }
 
   // ----------------------------------------------------------------- groupby
@@ -255,22 +241,9 @@ object ExtDatasets {
   /** Collect a group-by DataFrame into [[GroupedRecords]]. */
   def collectGrouped(df: DataFrame, groupNames: Vector[String]): GroupedRecords = {
     val g = groupNames.length
-    val cols = Seq("id", "group", "stat") ++ (0 until g).map(j => s"proxy_$j")
-    val rows = df.select(cols.map(col): _*).orderBy("id").collect()
-    val n = rows.length
-    val group = new Array[Int](n)
-    val stat = new Array[Double](n)
-    val proxies = Vector.fill(g)(new Array[Double](n))
-    var i = 0
-    while (i < n) {
-      val r = rows(i)
-      group(i) = r.getInt(1)
-      stat(i) = r.getDouble(2)
-      var j = 0
-      while (j < g) { proxies(j)(i) = r.getDouble(3 + j); j += 1 }
-      i += 1
-    }
-    GroupedRecords(groupNames, proxies, group, stat)
+    val rows = LocalRecords.collectById(df, Seq("group", "stat") ++ (0 until g).map(j => s"proxy_$j"))
+    GroupedRecords(groupNames, Vector.tabulate(g)(j => rows.map(_.getDouble(3 + j))),
+      rows.map(_.getInt(1)), rows.map(_.getDouble(2)))
   }
 
   // ------------------------------------------------------- proxy combination
@@ -314,21 +287,8 @@ object ExtDatasets {
 
   /** Collect `(positive, stat)` plus a set of named proxy columns. */
   def collectMultiProxy(df: DataFrame, proxyCols: Vector[String]): (Array[Boolean], Array[Double], Vector[Array[Double]]) = {
-    val cols = Seq("id", "positive", "stat") ++ proxyCols
-    val rows = df.select(cols.map(col): _*).orderBy("id").collect()
-    val n = rows.length
-    val pos = new Array[Boolean](n)
-    val stat = new Array[Double](n)
-    val proxies = Vector.fill(proxyCols.length)(new Array[Double](n))
-    var i = 0
-    while (i < n) {
-      val r = rows(i)
-      pos(i) = r.getBoolean(1)
-      stat(i) = r.getDouble(2)
-      var j = 0
-      while (j < proxyCols.length) { proxies(j)(i) = r.getDouble(3 + j); j += 1 }
-      i += 1
-    }
-    (pos, stat, proxies)
+    val rows = LocalRecords.collectById(df, Seq("positive", "stat") ++ proxyCols)
+    val proxies = proxyCols.indices.toVector.map(j => rows.map(_.getDouble(3 + j)))
+    (rows.map(_.getBoolean(1)), rows.map(_.getDouble(2)), proxies)
   }
 }

@@ -1,6 +1,7 @@
 package repro.data
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
 
 /** Driver-side view of a dataset: per-record proxy score, hidden
   * predicate label, and hidden statistic value.
@@ -40,24 +41,18 @@ final case class LocalRecords(
 
 object LocalRecords {
   /** Collect the canonical `(proxy, positive, stat)` columns of a
-    * generated DataFrame. Row order is made deterministic by sorting on
-    * `id` so a (dataset, seed) pair always yields the same arrays.
+    * generated DataFrame (see [[collectById]]).
     */
   def fromDf(df: DataFrame): LocalRecords = {
-    val rows = df.select("id", "proxy", "positive", "stat").orderBy("id").collect()
-    val proxy = new Array[Double](rows.length)
-    val pos = new Array[Boolean](rows.length)
-    val stat = new Array[Double](rows.length)
-    var i = 0
-    while (i < rows.length) {
-      val r = rows(i)
-      proxy(i) = r.getDouble(1)
-      pos(i) = r.getBoolean(2)
-      stat(i) = r.getDouble(3)
-      i += 1
-    }
-    LocalRecords(proxy, pos, stat)
+    val rows = collectById(df, Seq("proxy", "positive", "stat"))
+    LocalRecords(rows.map(_.getDouble(1)), rows.map(_.getBoolean(2)), rows.map(_.getDouble(3)))
   }
+
+  /** Rows of `(id +: cols)` sorted on `id`, so a (dataset, seed) pair
+    * always yields the same arrays; column `cols(j)` is field `j + 1`.
+    */
+  private[data] def collectById(df: DataFrame, cols: Seq[String]): Array[Row] =
+    df.select(("id" +: cols).map(col): _*).orderBy("id").collect()
 }
 
 /** One stratum's population with hidden labels. */

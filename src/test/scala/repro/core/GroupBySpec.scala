@@ -72,14 +72,6 @@ class GroupBySpec extends SparkSpec {
     assert(math.abs(baseVariance(cells, t) - 5.0) < 1e-12)
   }
 
-  test("realizedVariance uses positive counts and floors at a tiny epsilon") {
-    val cells = Vector(StratumEstimates(100, 50, 0.5, 1.0, 2.0))
-    // w = 1; σ²/B = 4/50
-    assert(math.abs(realizedVariance(cells) - 0.08) < 1e-12)
-    val constant = Vector(StratumEstimates(100, 50, 0.5, 1.0, 0.0))
-    assert(realizedVariance(constant) > 0) // floored, not zero
-  }
-
   // -------------------------------------------------------- uniform baselines
 
   test("uniformSingleOracle estimates per-group means and respects budget") {

@@ -1,13 +1,15 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.GroupedRecords
+import repro.data.{CountingOracle, GroupedRecords, LocalRecords, StratifiedLocal}
 import scala.util.Random
 
-/** Seeded outputs of the GroupBy and proxy-combination kernels on small
-  * fixed data, pinned to the values the per-trial (proxy, index) tuple
-  * sort produced. Proxies are quantized, so ties between records decide
-  * stratum membership.
+/** Seeded outputs of the local kernels on small fixed data, pinned to
+  * values printed by earlier revisions: the GroupBy and proxy-combination
+  * pins by the per-trial (proxy, index) tuple sort, the ABAE, uniform and
+  * uniform-GroupBy pins by the per-site Stage-2 sizing and labelling
+  * loops. Proxies are quantized, so ties between records decide stratum
+  * membership.
   */
 class SeededOutputsSpec extends AnyFunSuite {
 
@@ -38,6 +40,15 @@ class SeededOutputsSpec extends AnyFunSuite {
   }
 
   private val data = grouped()
+
+  private def records(): LocalRecords = {
+    val n = 5000
+    val rng = new Random(13)
+    val proxy = Array.fill(n)(math.rint(rng.nextDouble() * 0.5 * 32) / 32)
+    val positive = proxy.map(p => rng.nextDouble() < p)
+    val stat = proxy.map(p => 2.0 + 6.0 * p + rng.nextGaussian())
+    LocalRecords(proxy, positive, stat)
+  }
 
   private def assertResult(r: GroupByResult, estimates: Seq[Double], lambdas: Seq[Double], calls: Long): Unit = {
     assert(r.estimates == estimates)
@@ -82,6 +93,44 @@ class SeededOutputsSpec extends AnyFunSuite {
     assert(a.estimate == 7.221855462475498 && a.oracleCalls == 797)
     val b = run(2)
     assert(b.estimate == 7.060819513315561 && b.oracleCalls == 798)
+  }
+
+  test("Abae.run reproduces its seeded outputs, with and without reuse") {
+    val strat = StratifiedLocal(records(), 5)
+    def check(reuse: Boolean, seed: Long, budget: Int, estimate: Double, allocation: Seq[Double], calls: Long): Unit = {
+      val oracle = new CountingOracle(strat)
+      val r = Abae.run(strat, oracle, budget, AbaeParams(k = 5, reuse = reuse), seed)
+      assert(r.estimate == estimate)
+      assert(r.allocation.toSeq == allocation)
+      assert(r.oracleCalls == calls && oracle.calls == calls)
+    }
+    val alloc1 = Seq(0.0590349305788417, 0.09873642653062674, 0.25857990488666954, 0.30353379756966475, 0.2801149404341974)
+    check(reuse = true, 1, 600, 4.120652130136065, alloc1, 598)
+    check(reuse = true, 2, 250, 4.008552927248803,
+      Seq(0.07049440213027516, 0.18284630157953863, 0.09666766489055761, 0.29984423113347275, 0.3501474002661558), 247)
+    check(reuse = false, 1, 600, 4.325178910045088, alloc1, 598)
+    check(reuse = false, 3, 250, 3.9367425607644893,
+      Seq(0.09932431446837081, 0.16590226646311068, 0.13645854692004805, 0.2554835473473588, 0.34283132480111167), 247)
+  }
+
+  test("UniformSampling.run reproduces its seeded outputs") {
+    val rec = records()
+    val a = UniformSampling.run(rec, 400, 1)
+    assert(a.estimate == 4.0531859680750895 && a.oracleCalls == 400 && a.draws.n == 400)
+    val b = UniformSampling.run(rec, 1000, 2)
+    assert(b.estimate == 3.9928668337603512 && b.oracleCalls == 1000 && b.draws.n == 1000)
+  }
+
+  test("uniformSingleOracle and uniformMultiOracle reproduce their seeded outputs") {
+    val third = Seq.fill(3)(1.0 / 3)
+    assertResult(uniformSingleOracle(data, 600, 1),
+      Seq(0.8080498842377511, 2.0394807773809926, 3.2518547199806096), third, 600)
+    assertResult(uniformSingleOracle(data, 301, 2),
+      Seq(0.9882692916090914, 1.9840818846555428, 3.4549589452054783), third, 301)
+    assertResult(uniformMultiOracle(data, 600, 1),
+      Seq(0.8965928791457909, 2.165959638561757, 3.4374883836631387), third, 600)
+    assertResult(uniformMultiOracle(data, 301, 2),
+      Seq(0.7284202648861687, 2.012180057239155, 3.0203321219471424), third, 300)
   }
 
   test("a warm stratification memo gives the same results as a fresh one") {

@@ -69,10 +69,51 @@ class SamplersSpec extends AnyFunSuite {
     assert(s.drawn == 10)
   }
 
+  /** Stage-2 draws outside an earlier sample, as GroupBy's single-oracle
+    * runner and ProxyCombiner take them: a permutation prefix of the pool
+    * minus the excluded records.
+    */
+  private def poolSample(pool: Array[Int], exclude: Int => Boolean, m: Int, rng: Random): Array[Int] = {
+    val eligible = pool.filterNot(exclude)
+    new PermutationSampler(eligible.length, rng).next(m).map(eligible(_))
+  }
+
+  /** The former `PoolSampling.sample`: partial Fisher–Yates on a filtered
+    * copy of the pool. Kept as the reference [[poolSample]] must match.
+    */
+  private def poolSamplingReference(pool: Array[Int], exclude: Int => Boolean, m: Int, rng: Random): Array[Int] = {
+    val eligible = pool.filterNot(exclude)
+    val take = math.min(m, eligible.length)
+    var i = 0
+    while (i < take) {
+      val j = i + rng.nextInt(eligible.length - i)
+      val t = eligible(i); eligible(i) = eligible(j); eligible(j) = t
+      i += 1
+    }
+    java.util.Arrays.copyOfRange(eligible, 0, take)
+  }
+
+  test("pool sampling through PermutationSampler equals the PoolSampling reference, RNG state included") {
+    val gen = new Random(17)
+    for (t <- 0 until 3000) {
+      val n = gen.nextInt(60)
+      val pool = Array.fill(n)(gen.nextInt(200))
+      val excluded = t % 3 match {
+        case 0 => (_: Int) => true // everything excluded
+        case 1 => { val cut = gen.nextInt(200); (i: Int) => i < cut }
+        case _ => { val bits = Array.fill(200)(gen.nextBoolean()); (i: Int) => bits(i) }
+      }
+      val m = gen.nextInt(n + 10) // m > eligible is common
+      val (a, b) = (new Random(t), new Random(t))
+      assert(poolSample(pool, excluded, m, a).toSeq == poolSamplingReference(pool, excluded, m, b).toSeq)
+      assert(a.nextLong() == b.nextLong())
+    }
+  }
+
   test("PoolSampling draws only from the eligible pool") {
     val pool = Array.range(0, 100)
     val excluded = (0 until 50).toSet
-    val got = PoolSampling.sample(pool, excluded.contains, 30, new Random(5))
+    val got = poolSample(pool, excluded.contains, 30, new Random(5))
     assert(got.length == 30)
     assert(got.forall(i => i >= 50))
     assert(got.toSet.size == 30)
@@ -80,12 +121,12 @@ class SamplersSpec extends AnyFunSuite {
 
   test("PoolSampling caps at the eligible count") {
     val pool = Array.range(0, 10)
-    val got = PoolSampling.sample(pool, _ < 8, 5, new Random(6))
+    val got = poolSample(pool, _ < 8, 5, new Random(6))
     assert(got.sorted.toSeq == Seq(8, 9))
   }
 
   test("PoolSampling of everything excluded is empty") {
-    assert(PoolSampling.sample(Array.range(0, 5), _ => true, 3, new Random(7)).isEmpty)
+    assert(poolSample(Array.range(0, 5), _ => true, 3, new Random(7)).isEmpty)
   }
 
   test("PoolSampling is uniform over the eligible set") {
@@ -93,7 +134,7 @@ class SamplersSpec extends AnyFunSuite {
     val counts = new Array[Int](6)
     val trials = 12000
     for (t <- 0 until trials)
-      PoolSampling.sample(pool, _ == 0, 2, new Random(t)).foreach(counts(_) += 1)
+      poolSample(pool, _ == 0, 2, new Random(t)).foreach(counts(_) += 1)
     assert(counts(0) == 0)
     (1 to 5).foreach { i =>
       val freq = counts(i).toDouble / trials
