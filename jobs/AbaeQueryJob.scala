@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{AbaeParams, AbaeSpark, Bootstrap, Estimators, StratumDraws}
+import repro.core.{AbaeParams, AbaeSpark, Bootstrap, Estimators}
 import repro.data.Datasets
 import repro.sampling.Rng
 
@@ -25,14 +25,11 @@ object AbaeQueryJob {
     try {
       val profile = Datasets.byName(dataset)
       val df = Datasets.generate(spark, profile).cache()
-      val res = AbaeSpark.run(df, budget, AbaeParams(k = 5), seed = 42)
+      val params = AbaeParams(k = 5)
+      val res = AbaeSpark.run(df, budget, params, seed = 42)
 
       // Bootstrap the CI from the sampled rows (both stages, per stratum).
-      val sampled = res.sampled.select("stratum", "positive", "stat").collect()
-      val draws = (1 to 5).map { s =>
-        val rows = sampled.filter(_.getInt(0) == s)
-        StratumDraws(rows.map(_.getBoolean(1)), rows.map(_.getDouble(2)))
-      }
+      val draws = AbaeSpark.drawsOf(res.sampled, params.k)
       val ci = Bootstrap.ci(draws, beta = 1000, alpha = 0.05, Rng.stream(43, 0))
 
       val truth = df.filter("positive").agg(org.apache.spark.sql.functions.avg("stat"))

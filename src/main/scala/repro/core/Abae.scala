@@ -68,32 +68,29 @@ object Abae {
     def drawFrom(stratum: Int, count: Int): StratumDraws =
       StratumDraws.label(samplers(stratum).next(count), oracle(stratum, _))
 
-    // Stage 1: N1 uniform draws per stratum → pilot estimates.
-    val stage1Draws = Vector.tabulate(k)(s => drawFrom(s, n1))
-    val stage1Est = stage1Draws.map(Estimators.fromDraws)
+    // Stage 1: N1 uniform draws per stratum; Stage 2 spends the rest.
+    val pilot = Vector.tabulate(k)(s => drawFrom(s, n1))
+    finish(pilot, budget - pilot.map(_.n).sum, drawFrom, params.reuse)
+  }
 
-    // Allocation T̂_k ∝ √p̂_k σ̂_k over the remaining budget N2 (with
-    // pooled-σ̂ repair for strata whose pilot saw too few positives).
-    val n2 = budget - stage1Draws.map(_.n).sum
+  /** Algorithm 1 after the pilot: T̂_k ∝ √p̂_k σ̂_k (pooled-σ̂ repaired),
+    * `draw(s, ⌊n2·T̂_s⌋)` once per stratum in order 0..K−1 (callers that
+    * share one RNG across strata rely on it), then the final estimates over
+    * both stages, or over Stage 2 alone when `!reuse` (Fig. 9 lesion).
+    */
+  def finish(
+      pilot: Vector[StratumDraws],
+      n2: Int,
+      draw: (Int, Int) => StratumDraws,
+      reuse: Boolean = true,
+  ): AbaeResult = {
+    val stage1Est = pilot.map(Estimators.fromDraws)
     val tHat = Estimators.allocationFromPilot(stage1Est)
-
-    // Stage 2: ⌊N2·T̂_k⌋ further draws per stratum.
     val m = Estimators.stage2Sizes(n2, tHat)
-    val stage2Draws = Vector.tabulate(k)(s => drawFrom(s, m(s)))
-    val draws = Vector.tabulate(k)(s => stage1Draws(s) ++ stage2Draws(s))
-
-    // Final estimates over both stages (or Stage 2 only, for the lesion).
-    val finalDraws = if (params.reuse) draws else stage2Draws
-    val finalEst = finalDraws.map(Estimators.fromDraws)
-
-    AbaeResult(
-      estimate = Estimators.combine(finalEst),
-      perStratum = finalEst,
-      stage1 = stage1Est,
-      allocation = tHat,
-      draws = draws,
-      oracleCalls = draws.map(_.n.toLong).sum,
-    )
+    val stage2 = Vector.tabulate(pilot.length)(s => draw(s, m(s)))
+    val draws = Vector.tabulate(pilot.length)(s => pilot(s) ++ stage2(s))
+    val finalEst = (if (reuse) draws else stage2).map(Estimators.fromDraws)
+    AbaeResult(Estimators.combine(finalEst), finalEst, stage1Est, tHat, draws, draws.map(_.n.toLong).sum)
   }
 
   /** Convenience entry point over a stratified local dataset with fresh

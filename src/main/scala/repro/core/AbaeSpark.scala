@@ -77,6 +77,15 @@ object AbaeSpark {
     Vector.tabulate(k)(s => byStratum.getOrElse(s + 1, StratumEstimates(0, 0, 0.0, 0.0, 0.0)))
   }
 
+  /** `sampled`'s draws (both stages) per stratum, the bootstrap's input. */
+  def drawsOf(sampled: DataFrame, k: Int): Vector[StratumDraws] = {
+    val rows = sampled.select("stratum", "positive", "stat").collect()
+    Vector.tabulate(k) { s =>
+      val mine = rows.filter(_.getInt(0) == s + 1)
+      StratumDraws(mine.map(_.getBoolean(1)), mine.map(_.getDouble(2)))
+    }
+  }
+
   /** Run Algorithm 1 through Spark. `df` must have columns
     * `(id, proxy, positive, stat)`.
     */
@@ -104,10 +113,10 @@ object AbaeSpark {
 
       val finalAgg = stratumAgg(finalCut)
       val finalEst = toEstimates(finalAgg.collect(), k)
-      val estimate = Estimators.combine(finalEst)
-      val calls = sampled.count()
+      // Sampled rows: the final cut, plus Stage 1 when it is not reused.
+      val calls = (if (params.reuse) finalEst else finalEst ++ stage1Est).map(_.draws.toLong).sum
 
-      SparkResult(estimate, finalEst, stage1Est, tHat, calls, finalAgg, sampled)
+      SparkResult(Estimators.combine(finalEst), finalEst, stage1Est, tHat, calls, finalAgg, sampled)
     } finally ranked.unpersist()
   }
 }

@@ -6,18 +6,16 @@ import repro.sampling.{PermutationSampler, Rng}
 import scala.collection.mutable.ArrayBuffer
 
 /** Oracle that maps a record directly to its group key (§3.2, scenario 1:
-  * "a single oracle determines the group key directly"). Labels are
-  * cached, so a record sampled through several stratifications is charged
-  * exactly once.
+  * "a single oracle determines the group key directly"). Each invocation
+  * costs 1; callers keep the labels they need again.
   */
 final class SingleGroupOracle(data: GroupedRecords) {
-  private val labeled = new java.util.BitSet(data.n)
   private var invocations: Long = 0L
   def calls: Long = invocations
 
   /** Returns (group key in 0..G-1 or -1, statistic). */
   def query(i: Int): (Int, Double) = {
-    if (!labeled.get(i)) { invocations += 1; labeled.set(i) }
+    invocations += 1
     (data.group(i), data.stat(i))
   }
 }
@@ -41,7 +39,10 @@ final class PerGroupOracle(data: GroupedRecords) {
   */
 object GroupBy {
 
-  final case class GroupByParams(k: Int = 5, stage1Frac: Double = 0.5)
+  final case class GroupByParams(k: Int = 5, stage1Frac: Double = 0.5) {
+    require(k >= 1, "need at least one stratum")
+    require(stage1Frac > 0 && stage1Frac < 1, "stage1Frac must be in (0,1)")
+  }
 
   /** @param estimates   μ̂_g per group
     * @param lambdas     Stage-2 share Λ_l per stratification
@@ -81,9 +82,10 @@ object GroupBy {
 
   /** Single-oracle ABAE-GroupBy. Stage 1 samples uniformly (every label
     * reveals the full group key, so it pilots all G stratifications at
-    * once); Stage 2 splits Λ·N2 across stratifications by minimizing the
-    * Eq. 10 minimax objective with inverse-variance pooling, then
-    * allocates within each stratification by T̂.
+    * once); Stage 2 splits Λ·N2 across stratifications by minimizing an
+    * Eq. 10 minimax objective, then allocates within each stratification
+    * by T̂. Each group is estimated from its own stratification, without
+    * pooling (DESIGN.md §3b, deviation 2).
     */
   def runSingleOracle(
       data: GroupedRecords,
@@ -100,13 +102,14 @@ object GroupBy {
     val oracle = new SingleGroupOracle(data)
     val rng = Rng.stream(seed, 0)
 
-    // Every labeled record, in draw order. A record drawn once is drawn
-    // in every stratification.
+    // Every labeled record and its (group key, statistic), in draw order.
+    // A record drawn once is drawn in every stratification.
     val labeled = ArrayBuffer.empty[Int]
+    val labels = ArrayBuffer.empty[(Int, Double)]
     val drawn = new Array[Boolean](n)
     def label(idx: Array[Int]): Unit = idx.foreach { i =>
-      oracle.query(i)
       labeled += i
+      labels += oracle.query(i)
       drawn(i) = true
     }
 
@@ -114,12 +117,10 @@ object GroupBy {
     val n1 = math.max(g * k, (budget * params.stage1Frac).toInt)
     label(new PermutationSampler(n, rng).next(n1))
 
-    // Per-cell estimates of group `targetG` from stratification l; the
-    // oracle's cache re-reveals labeled records at no charge.
+    // Per-cell estimates of group `targetG` from stratification l.
     def cellEst(l: Int, targetG: Int): Vector[StratumEstimates] = {
-      val idx = labeled.toArray
-      val d = StratumDraws.label(idx, i => { val (gi, st) = oracle.query(i); (gi == targetG, st) })
-      StratumDraws.byStratum(strata(l), idx, d).map(Estimators.fromDraws)
+      val d = StratumDraws(labels.map(_._1 == targetG).toArray, labels.map(_._2).toArray)
+      StratumDraws.byStratum(strata(l), labeled.toArray, d).map(Estimators.fromDraws)
     }
 
     // Within-stratification allocation: optimal for the stratification's
@@ -239,10 +240,7 @@ object GroupBy {
 
     // Stage 2 extends each cell's permutation — exact sample reuse.
     val budgets = Estimators.stage2Sizes(n2, lambdas)
-    val estimates = Vector.tabulate(g) { l =>
-      val m = Estimators.stage2Sizes(budgets(l), tHat(l))
-      Estimators.combine(Vector.tabulate(k)(s => Estimators.fromDraws(stage1(l)(s) ++ draw(l, s, m(s)))))
-    }
+    val estimates = Vector.tabulate(g)(l => Abae.finish(stage1(l), budgets(l), draw(l, _, _)).estimate)
     GroupByResult(estimates, lambdas, oracle.calls)
   }
 

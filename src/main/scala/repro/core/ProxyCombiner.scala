@@ -78,21 +78,17 @@ object ProxyCombiner {
 
     val (scores, model) = combineScores(proxies, pilotIdx, pilot.flags)
 
-    // Restratify on the learned score; map the pilot into the new strata.
+    // Restratify on the learned score; the pilot, filed into the new
+    // strata, is Stage 1. Stage 2 draws uniformly from each stratum's
+    // records outside the pilot.
     val strat = Stratification(scores, k)
-    val pilotDraws = StratumDraws.byStratum(strat, pilotIdx, pilot)
-    val tHat = Estimators.allocationFromPilot(pilotDraws.map(Estimators.fromDraws))
-    val m = Estimators.stage2Sizes(budget - n1, tHat)
-
-    // Stage 2: ⌊N2·T̂_k⌋ uniform draws from each stratum's records outside
-    // the pilot.
     val drawn = new Array[Boolean](n)
     pilotIdx.foreach(drawn(_) = true)
-    val finalEst = Vector.tabulate(k) { s =>
+    def draw(s: Int, m: Int): StratumDraws = {
       val pool = strat.indices(s).filterNot(drawn(_))
-      val extra = StratumDraws.label(new PermutationSampler(pool.length, rng).next(m(s)).map(pool(_)), oracle)
-      Estimators.fromDraws(pilotDraws(s) ++ extra)
+      StratumDraws.label(new PermutationSampler(pool.length, rng).next(m).map(pool(_)), oracle)
     }
-    CombinedResult(Estimators.combine(finalEst), calls, model)
+    val res = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot), budget - n1, draw)
+    CombinedResult(res.estimate, calls, model)
   }
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{CountingOracle, LocalRecords, StratifiedLocal}
 import repro.metrics.Metrics
+import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** Local-engine tests of Algorithm 1 on fully synthetic in-memory data
@@ -174,6 +175,33 @@ class AbaeSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { AbaeParams(stage1Frac = 0.0) }
     intercept[IllegalArgumentException] { AbaeParams(stage1Frac = 1.0) }
     intercept[IllegalArgumentException] { AbaeParams(k = 0) }
+  }
+
+  test("finish draws once per stratum in order, sized by the pilot's allocation") {
+    val rng = new Random(15)
+    def draws(n: Int, p: Double): StratumDraws =
+      StratumDraws(Array.fill(n)(rng.nextDouble() < p), Array.fill(n)(10 + 3 * rng.nextGaussian()))
+    val pilot = Vector(0.05, 0.2, 0.5, 0.9).map(draws(40, _))
+    val n2 = 500
+    val sizes = Estimators.stage2Sizes(n2, Estimators.allocationFromPilot(pilot.map(Estimators.fromDraws)))
+    assert(sizes.distinct.length == sizes.length) // the allocation is not flat
+    for (reuse <- Seq(true, false)) {
+      val calls = ArrayBuffer.empty[(Int, Int)]
+      val stage2 = ArrayBuffer.empty[StratumDraws]
+      val res = Abae.finish(pilot, n2, (s, m) => {
+        calls += s -> m
+        stage2 += draws(m, 0.5)
+        stage2.last
+      }, reuse)
+      assert(calls.toSeq == sizes.toSeq.zipWithIndex.map(_.swap))
+      assert(res.oracleCalls == pilot.map(_.n).sum + sizes.sum)
+      def cells(ds: Seq[StratumDraws]) = ds.map(d => (d.flags.toSeq, d.stats.toSeq))
+      assert(cells(res.draws) == cells(pilot.zip(stage2).map { case (a, b) => a ++ b }))
+      assert(res.stage1 == pilot.map(Estimators.fromDraws))
+      val finalDraws = if (reuse) res.draws else stage2.toVector
+      assert(res.perStratum == finalDraws.map(Estimators.fromDraws))
+      assert(res.estimate == Estimators.combine(res.perStratum))
+    }
   }
 
   test("draws in result cover both stages for the bootstrap") {

@@ -35,10 +35,10 @@ class GroupBySpec extends SparkSpec {
 
   // ----------------------------------------------------------------- oracles
 
-  test("SingleGroupOracle charges each record once (caching)") {
+  test("SingleGroupOracle charges every invocation") {
     val o = new SingleGroupOracle(data)
     o.query(0); o.query(0); o.query(1)
-    assert(o.calls == 2)
+    assert(o.calls == 3)
     assert(o.query(0)._1 == data.group(0))
   }
 
@@ -171,6 +171,13 @@ class GroupBySpec extends SparkSpec {
     val unif = maxRmse((1 to trials).map(s =>
       uniformSingleOracle(rec, budget, s).estimates))
     assert(abae < unif, s"abae=$abae uniform=$unif")
+  }
+
+  test("GroupByParams bounds are enforced") {
+    intercept[IllegalArgumentException] { GroupByParams(stage1Frac = 0.0) }
+    intercept[IllegalArgumentException] { GroupByParams(stage1Frac = 1.0) }
+    intercept[IllegalArgumentException] { GroupByParams(stage1Frac = 1.001) }
+    intercept[IllegalArgumentException] { GroupByParams(k = 0) }
   }
 
   test("budget guards reject undersized budgets") {

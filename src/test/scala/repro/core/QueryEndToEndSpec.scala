@@ -41,12 +41,7 @@ class QueryEndToEndSpec extends SparkSpec {
     val (_, df) = truthOf(Datasets.celeba, 0.1)
     try {
       val res = AbaeSpark.run(df, budget = 2000, AbaeParams(k = 5), seed = 11)
-      val sampled = res.sampled.select("stratum", "positive", "stat").collect()
-      val draws = (1 to 5).map { s =>
-        val rows = sampled.filter(_.getInt(0) == s)
-        StratumDraws(rows.map(_.getBoolean(1)), rows.map(_.getDouble(2)))
-      }
-      val ci = Bootstrap.ci(draws, beta = 400, alpha = 0.05, Rng.stream(12, 0))
+      val ci = Bootstrap.ci(AbaeSpark.drawsOf(res.sampled, 5), beta = 400, alpha = 0.05, Rng.stream(12, 0))
       assert(ci.contains(res.estimate), s"ci=$ci est=${res.estimate}")
       assert(ci.width > 0 && ci.width < 0.2, s"width=${ci.width}")
     } finally df.unpersist()
@@ -55,9 +50,11 @@ class QueryEndToEndSpec extends SparkSpec {
   test("Spark-engine oracle-call accounting matches the sampled row count") {
     val (_, df) = truthOf(Datasets.trec05p, 0.3)
     try {
-      val res = AbaeSpark.run(df, budget = 1200, AbaeParams(k = 4), seed = 3)
-      assert(res.oracleCalls == res.sampled.count())
-      assert(res.oracleCalls <= 1200 && res.oracleCalls > 1200 - 4 - 4)
+      for (reuse <- Seq(true, false)) {
+        val res = AbaeSpark.run(df, budget = 1200, AbaeParams(k = 4, reuse = reuse), seed = 3)
+        assert(res.oracleCalls == res.sampled.count())
+        assert(res.oracleCalls <= 1200 && res.oracleCalls > 1200 - 4 - 4)
+      }
     } finally df.unpersist()
   }
 }
