@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{CoreFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig10: sensitivity to the number of strata K ∈ [2, 10]. Paper
   * claims: ABAE outperforms uniform for every K; performance is not
@@ -11,8 +11,8 @@ import repro.exp.{CoreFigures, Harness}
 class Fig10StrataSensitivityBench extends SparkSpec {
 
   test("T-fig10: sensitivity to number of strata K") {
-    val cells = CoreFigures.fig10(spark, Harness.trials(200))
-    println(CoreFigures.renderK(cells))
+    val cells = Figures.fig10.cells(spark)
+    println(Figures.fig10.render(cells))
 
     cells.foreach { c =>
       assert(c.abaeRmse <= c.unifRmse * 1.15,

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{CoreFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig11: sensitivity to the Stage-1 budget fraction C ∈ {0.1 … 0.9}.
   * Paper claims: ABAE outperforms for C between 0.3 and 0.7; extreme
@@ -10,8 +10,8 @@ import repro.exp.{CoreFigures, Harness}
 class Fig11StageSplitSensitivityBench extends SparkSpec {
 
   test("T-fig11: sensitivity to stage-1 fraction C") {
-    val cells = CoreFigures.fig11(spark, Harness.trials(200))
-    println(CoreFigures.renderC(cells))
+    val cells = Figures.fig11.cells(spark)
+    println(Figures.fig11.render(cells))
 
     // The recommended band must beat uniform.
     cells.filter(c => c.c >= 0.3 && c.c <= 0.7).foreach { c =>

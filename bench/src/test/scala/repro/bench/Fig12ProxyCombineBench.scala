@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{ExtFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig12: combining candidate proxies with logistic regression vs
   * uniform sampling and single-proxy ABAE. Paper claims: the combined
@@ -11,8 +11,8 @@ import repro.exp.{ExtFigures, Harness}
 class Fig12ProxyCombineBench extends SparkSpec {
 
   test("T-fig12: proxy combination via logistic regression") {
-    val cells = ExtFigures.fig12(spark, Harness.trials(150))
-    println(ExtFigures.renderCombine(cells))
+    val cells = Figures.fig12.cells(spark)
+    println(Figures.fig12.render(cells))
 
     cells.foreach { c =>
       // Combined beats uniform…

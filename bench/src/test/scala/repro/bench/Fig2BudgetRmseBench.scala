@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{CoreFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig2: sampling budget (2k–10k) vs RMSE, ABAE vs uniform, all six
   * datasets. Paper claims: ABAE outperforms on every dataset and budget,
@@ -10,8 +10,8 @@ import repro.exp.{CoreFigures, Harness}
 class Fig2BudgetRmseBench extends SparkSpec {
 
   test("T-fig2: budget vs RMSE, ABAE vs uniform") {
-    val cells = CoreFigures.fig2(spark, Harness.trials(300))
-    println(CoreFigures.renderRmse("T-fig2: budget vs RMSE (ABAE vs uniform)", cells))
+    val cells = Figures.fig2.cells(spark)
+    println(Figures.fig2.render(cells))
 
     // Shape: ABAE matches or beats uniform everywhere…
     cells.foreach { c =>

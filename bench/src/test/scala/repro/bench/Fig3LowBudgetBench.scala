@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{CoreFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig3: low sampling budgets (500–1000) vs RMSE. Paper claims: even at
   * small sample sizes ABAE outperforms or matches uniform in all cases.
@@ -9,8 +9,8 @@ import repro.exp.{CoreFigures, Harness}
 class Fig3LowBudgetBench extends SparkSpec {
 
   test("T-fig3: low budgets vs RMSE, ABAE vs uniform") {
-    val cells = CoreFigures.fig3(spark, Harness.trials(300))
-    println(CoreFigures.renderRmse("T-fig3: low budgets vs RMSE (ABAE vs uniform)", cells))
+    val cells = Figures.fig3.cells(spark)
+    println(Figures.fig3.render(cells))
 
     // "Outperforms or matches": allow parity with slack at these budgets
     // (weak-proxy datasets with heavy-tailed statistics are noisy here).

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{CoreFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig4: budget vs normalized Q-error (100·(q−1)). Paper claims: ABAE
   * outperforms on Q-error by 14–70% across datasets.
@@ -9,8 +9,8 @@ import repro.exp.{CoreFigures, Harness}
 class Fig4QErrorBench extends SparkSpec {
 
   test("T-fig4: budget vs normalized Q-error") {
-    val cells = CoreFigures.fig4(spark, Harness.trials(300))
-    println(CoreFigures.renderQ(cells))
+    val cells = Figures.fig4.cells(spark)
+    println(Figures.fig4.render(cells))
 
     cells.foreach { c =>
       assert(c.abaeQ <= c.unifQ * 1.10,

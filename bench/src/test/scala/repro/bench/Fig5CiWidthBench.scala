@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{CoreFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig5: budget vs bootstrap CI width and coverage. Paper claims: up to
   * 1.5× narrower CIs at a fixed budget, with nominal (95%) coverage
@@ -10,8 +10,8 @@ import repro.exp.{CoreFigures, Harness}
 class Fig5CiWidthBench extends SparkSpec {
 
   test("T-fig5: budget vs CI width and coverage") {
-    val cells = CoreFigures.fig5(spark, Harness.trials(50), beta = 200)
-    println(CoreFigures.renderCi(cells))
+    val cells = Figures.fig5.cells(spark)
+    println(Figures.fig5.render(cells))
 
     cells.foreach { c =>
       assert(c.abaeWidth <= c.unifWidth * 1.10,

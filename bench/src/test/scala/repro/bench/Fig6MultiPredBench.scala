@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{ExtFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig6: ABAE-MultiPred vs uniform on the traffic query
   * (`count_cars > 0 AND red_light`, combined positive rate ≈ 0.17) and
@@ -11,8 +11,8 @@ import repro.exp.{ExtFigures, Harness}
 class Fig6MultiPredBench extends SparkSpec {
 
   test("T-fig6: multi-predicate queries, ABAE-MultiPred vs uniform") {
-    val cells = ExtFigures.fig6(spark, Harness.trials(300))
-    println(ExtFigures.renderMultiPred(cells))
+    val cells = Figures.fig6.cells(spark)
+    println(Figures.fig6.render(cells))
 
     cells.foreach { c =>
       assert(c.abaeRmse <= c.unifRmse * 1.10,

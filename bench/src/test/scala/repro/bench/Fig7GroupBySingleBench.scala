@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{ExtFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig7: ABAE-GroupBy with a single group-key oracle vs uniform, max
   * RMSE over groups vs budget normalized by group count. Paper claims:
@@ -10,9 +10,8 @@ import repro.exp.{ExtFigures, Harness}
 class Fig7GroupBySingleBench extends SparkSpec {
 
   test("T-fig7: group-by (single oracle), max RMSE vs normalized budget") {
-    val cells = ExtFigures.fig7(spark, Harness.trials(100))
-    println(ExtFigures.renderGroupBy(
-      "T-fig7: ABAE-GroupBy (single oracle) vs uniform (max RMSE)", cells))
+    val cells = Figures.fig7.cells(spark)
+    println(Figures.fig7.render(cells))
 
     // Matches-or-beats per cell (Monte-Carlo slack), clear aggregate win.
     cells.foreach { c =>

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{ExtFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig8: ABAE-GroupBy with one oracle per group vs uniform, max RMSE
   * over groups vs budget normalized by group count. Paper claims:
@@ -11,9 +11,8 @@ import repro.exp.{ExtFigures, Harness}
 class Fig8GroupByMultiBench extends SparkSpec {
 
   test("T-fig8: group-by (multiple oracles), max RMSE vs normalized budget") {
-    val cells = ExtFigures.fig8(spark, Harness.trials(100))
-    println(ExtFigures.renderGroupBy(
-      "T-fig8: ABAE-GroupBy (multiple oracles) vs uniform (max RMSE)", cells))
+    val cells = Figures.fig8.cells(spark)
+    println(Figures.fig8.render(cells))
 
     // Matches-or-beats per cell (Monte-Carlo slack; the smallest budget
     // has per-group pilots of only a few members per stratum), clear

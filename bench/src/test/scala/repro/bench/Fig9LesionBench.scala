@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{CoreFigures, Harness}
+import repro.exp.Figures
 
 /** T-fig9: lesion study at N=10,000 — full ABAE vs ABAE without sample
   * reuse vs uniform sampling. Paper claims: both the two-stage allocation
@@ -11,8 +11,8 @@ import repro.exp.{CoreFigures, Harness}
 class Fig9LesionBench extends SparkSpec {
 
   test("T-fig9: lesion study (sample reuse and stratification)") {
-    val cells = CoreFigures.fig9(spark, Harness.trials(300))
-    println(CoreFigures.renderLesion(cells))
+    val cells = Figures.fig9.cells(spark)
+    println(Figures.fig9.render(cells))
 
     cells.foreach { c =>
       // Full ABAE beats (or at worst matches) the no-reuse lesion…

@@ -91,6 +91,7 @@ object AbaeSpark {
     */
   def run(df: DataFrame, budget: Int, params: AbaeParams, seed: Long): SparkResult = {
     val k = params.k
+    require(budget >= 2 * k, s"budget $budget too small for $k strata")
     val ranked = permutationRanks(stratify(df, k), seed)
       .select("id", "stratum", "rk", "positive", "stat")
       .cache()

@@ -102,8 +102,12 @@ object Datasets {
 
   private[data] def clamp01(c: Column): Column = least(lit(1.0), greatest(lit(0.0), c))
 
+  /** `sigmoid(slope·z + b)`: a record's true P(positive) given its latent `z`. */
+  private[data] def scoreCol(profile: Profile, z: Column): Column =
+    sigmoidCol(lit(profile.slope) * z + lit(calibrateIntercept(profile.slope, profile.targetP)))
+
   /** Statistic column for a family, given the latent `z` and a seed base. */
-  private def statCol(fam: StatFamily, z: Column, seed: Long): Column = fam match {
+  private[data] def statCol(fam: StatFamily, z: Column, seed: Long): Column = fam match {
     case CountStat(scale, zc) =>
       // 1 + floor(Exp(mean = scale·e^{zc·z})) via inverse CDF.
       (lit(1.0) + floor(-log(rand(seed) + lit(1e-12)) * lit(scale) * exp(lit(zc) * z)))
@@ -123,9 +127,8 @@ object Datasets {
     */
   def generate(spark: SparkSession, profile: Profile, sf: Double = 1.0): DataFrame = {
     val rows = math.max(100L, (profile.size * sf).toLong)
-    val b = calibrateIntercept(profile.slope, profile.targetP)
     val base = spark.range(rows).withColumn("z", randn(profile.seed))
-    val score = sigmoidCol(lit(profile.slope) * col("z") + lit(b))
+    val score = scoreCol(profile, col("z"))
     base
       .withColumn("positive", rand(profile.seed + 1) < score)
       .withColumn("proxy", clamp01(score + lit(profile.proxyNoise) * randn(profile.seed + 2)))

@@ -85,9 +85,7 @@ object ExtDatasets {
       .withColumn("proxy_cars", clamp01(sCars + lit(0.08) * randn(p.seed + 2)))
       .withColumn("label_red", rand(p.seed + 11) < sRed)
       .withColumn("proxy_red", clamp01(sRed + lit(0.12) * randn(p.seed + 12)))
-      .withColumn("stat",
-        (lit(1.0) + floor(-log(rand(p.seed + 3) + lit(1e-12)) * lit(1.8) * exp(lit(0.35) * col("z"))))
-          .cast("double"))
+      .withColumn("stat", Datasets.statCol(p.stat, col("z"), p.seed + 3))
       .select("id", "stat", "label_cars", "proxy_cars", "label_red", "proxy_red")
   }
 
@@ -137,6 +135,18 @@ object ExtDatasets {
 
   // ----------------------------------------------------------------- groupby
 
+  /** Mutually exclusive group membership from columns `theta_0..theta_{g-1}`:
+    * with `c_j = theta_0 + … + theta_j` and one uniform `u = rand(seed)`,
+    * the record joins the first j with `u < c_j`, or no group (-1).
+    * `u` is materialized as a column: a raw `rand(…)` expression is
+    * nondeterministic and would be re-drawn at every `when` branch.
+    */
+  private def assignGroups(df: DataFrame, g: Int, seed: Long): DataFrame = {
+    val cums = (0 until g).map(j => (0 to j).map(i => col(s"theta_$i")).reduce(_ + _))
+    df.withColumn("u", rand(seed)).withColumn("group",
+      (0 until g).foldRight(lit(-1)) { (j, rest) => when(col("u") < cums(j), lit(j)).otherwise(rest) })
+  }
+
   /** Shared group-by construction: per record, each group g gets a
     * membership probability `theta_g` with mean `rates(g)`; the record is
     * assigned to at most one group by a single categorical draw (groups
@@ -166,20 +176,7 @@ object ExtDatasets {
         .withColumn(s"theta_$j",
           lit(rates(j)) * lit(4.0) * col(s"u_$j") * col(s"u_$j") * col(s"u_$j"))
     }
-    // Cumulative categorical assignment from a single uniform draw:
-    // c_j = theta_0 + … + theta_j; the record joins the first j with u < c_j.
-    // `u` must be materialized as a column — a raw rand(...) expression is
-    // nondeterministic and would be re-drawn at every `when` branch.
-    df = df.withColumn("u", rand(seed + 100))
-    val u = col("u")
-    val cums = (0 until g).map { j =>
-      (0 to j).map(i => col(s"theta_$i")).reduce(_ + _)
-    }
-    var groupCol: Column = lit(-1)
-    for (j <- (g - 1) to 0 by -1) {
-      groupCol = when(u < cums(j), lit(j)).otherwise(groupCol)
-    }
-    df = df.withColumn("group", groupCol)
+    df = assignGroups(df, g, seed + 100)
     for (j <- 0 until g) {
       df = df.withColumn(s"proxy_$j",
         if (proxyNoise == 0.0) col(s"theta_$j")
@@ -213,13 +210,7 @@ object ExtDatasets {
         .withColumn(s"theta_$j", sigmoidCol(lit(slope) * col(s"z_$j") + lit(b)))
         .withColumn(s"proxy_$j", clamp01(col(s"theta_$j") + lit(0.05) * randn(seed + 50 + j)))
     }
-    df = df.withColumn("u", rand(seed + 100))
-    val cums = rates.indices.map(j => (0 to j).map(i => col(s"theta_$i")).reduce(_ + _))
-    var groupCol: Column = lit(-1)
-    for (j <- rates.indices.reverse) {
-      groupCol = when(col("u") < cums(j), lit(j)).otherwise(groupCol)
-    }
-    df = df.withColumn("group", groupCol)
+    df = assignGroups(df, rates.length, seed + 100)
     // Bernoulli(smiling), rate by group (gray 0.35, blond 0.55, none 0.45).
     val rate = when(col("group") === 0, 0.35).when(col("group") === 1, 0.55).otherwise(0.45)
     df.withColumn("stat", (rand(seed + 400) < rate).cast("double"))
@@ -248,25 +239,19 @@ object ExtDatasets {
 
   // ------------------------------------------------------- proxy combination
 
-  /** trec05p-like dataset with several candidate keyword proxies of
-    * varying quality (τ ∈ {0.15, 0.35, 0.6}) plus one pure-noise proxy.
-    * Schema: `(id, proxy_kw1..kw3, proxy_junk as extra proxies, positive, stat)`.
+  /** trec05p-like dataset: the `trec05p` profile's records with several
+    * candidate keyword proxies of varying quality (τ ∈ {0.15, 0.35, 0.6})
+    * plus one pure-noise proxy in place of its own proxy.
+    * Schema: `(id, positive, stat, proxy_kw1..kw3, proxy_junk)`.
     */
   def trec05pMultiProxy(spark: SparkSession, sf: Double = 1.0): DataFrame = {
     val p = Datasets.trec05p
-    val rows = math.max(100L, (p.size * sf).toLong)
-    val b = Datasets.calibrateIntercept(p.slope, p.targetP)
-    val base = spark.range(rows).withColumn("z", randn(p.seed))
-    val score = sigmoidCol(lit(p.slope) * col("z") + lit(b))
-    base
-      .withColumn("positive", rand(p.seed + 1) < score)
+    val score = Datasets.scoreCol(p, col("z"))
+    Datasets.generate(spark, p, sf)
       .withColumn("proxy_kw1", clamp01(score + lit(0.15) * randn(p.seed + 31)))
       .withColumn("proxy_kw2", clamp01(score + lit(0.35) * randn(p.seed + 32)))
       .withColumn("proxy_kw3", clamp01(score + lit(0.6) * randn(p.seed + 33)))
       .withColumn("proxy_junk", rand(p.seed + 34))
-      .withColumn("stat",
-        (lit(1.0) + floor(-log(rand(p.seed + 3) + lit(1e-12)) * lit(3.0) * exp(lit(0.45) * col("z"))))
-          .cast("double"))
       .select("id", "positive", "stat", "proxy_kw1", "proxy_kw2", "proxy_kw3", "proxy_junk")
   }
 

@@ -7,8 +7,8 @@ import repro.metrics.Metrics
 import repro.sampling.Rng
 
 /** Single-predicate evaluation artifacts: Figures 2, 3, 4, 5, 9, 10, 11.
-  * Each `figN` returns typed per-condition rows; bench suites assert the
-  * paper's qualitative claims on them and print the rendered table.
+  * Each `figN` returns typed per-condition rows; [[Figures]] states each
+  * figure's trial count and table once.
   */
 object CoreFigures {
 
@@ -30,23 +30,34 @@ object CoreFigures {
     def gain: Double = unifRmse / abaeRmse
   }
 
+  /** The trials Figs. 2–4 summarize: per (dataset, budget), `nTrials` ABAE
+    * and uniform estimates and the truth, reduced by `cell`.
+    */
+  private def budgetSweep[C](
+      spark: SparkSession,
+      budgets: Seq[Int],
+      nTrials: Int,
+      profiles: Seq[Datasets.Profile],
+  )(cell: (String, Int, Vector[Double], Vector[Double], Double) => C): Vector[C] =
+    profiles.toVector.flatMap { p =>
+      val rec = Harness.records(spark, p)
+      val strat = Harness.stratified(spark, p, DefaultParams.k)
+      budgets.map { b =>
+        cell(p.name, b, Harness.abaeEstimates(strat, b, nTrials, DefaultParams, 1000L * b),
+          Harness.uniformEstimates(rec, b, nTrials, 5000L * b), rec.truth)
+      }
+    }
+
   def rmseSweep(
       spark: SparkSession,
       budgets: Seq[Int],
       nTrials: Int,
       profiles: Seq[Datasets.Profile] = Datasets.all,
   ): Vector[RmseCell] =
-    profiles.toVector.flatMap { p =>
-      val rec = Harness.records(spark, p)
-      val strat = Harness.stratified(spark, p, DefaultParams.k)
-      val truth = rec.truth
-      budgets.map { b =>
-        val (ar, as) = Harness.rmseAndStd(
-          Harness.abaeEstimates(strat, b, nTrials, DefaultParams, 1000L * b), truth)
-        val (ur, us) = Harness.rmseAndStd(
-          Harness.uniformEstimates(rec, b, nTrials, 5000L * b), truth)
-        RmseCell(p.name, b, ar, as, ur, us)
-      }
+    budgetSweep(spark, budgets, nTrials, profiles) { (d, b, abae, unif, truth) =>
+      val (ar, as) = Harness.rmseAndStd(abae, truth)
+      val (ur, us) = Harness.rmseAndStd(unif, truth)
+      RmseCell(d, b, ar, as, ur, us)
     }
 
   def fig2(spark: SparkSession, nTrials: Int): Vector[RmseCell] =
@@ -54,13 +65,6 @@ object CoreFigures {
 
   def fig3(spark: SparkSession, nTrials: Int): Vector[RmseCell] =
     rmseSweep(spark, LowBudgets, nTrials)
-
-  def renderRmse(title: String, cells: Seq[RmseCell]): String =
-    Harness.render(title,
-      Seq("dataset", "budget", "abae_rmse", "abae_std", "uniform_rmse", "uniform_std", "gain"),
-      cells.map(c => Seq(c.dataset, c.budget.toString, Harness.f4(c.abaeRmse),
-        Harness.f4(c.abaeStd), Harness.f4(c.unifRmse), Harness.f4(c.unifStd),
-        Harness.f2(c.gain) + "x")))
 
   // ------------------------------------------------------------------ Fig 4
 
@@ -77,23 +81,9 @@ object CoreFigures {
       nTrials: Int,
       profiles: Seq[Datasets.Profile] = Seq(Datasets.nightStreet, Datasets.amazonOffice),
   ): Vector[QErrorCell] =
-    profiles.toVector.flatMap { p =>
-      val rec = Harness.records(spark, p)
-      val strat = Harness.stratified(spark, p, DefaultParams.k)
-      val truth = rec.truth
-      PaperBudgets.map { b =>
-        val a = Metrics.normalizedQError(
-          Harness.abaeEstimates(strat, b, nTrials, DefaultParams, 1000L * b), truth)
-        val u = Metrics.normalizedQError(
-          Harness.uniformEstimates(rec, b, nTrials, 5000L * b), truth)
-        QErrorCell(p.name, b, a, u)
-      }
+    budgetSweep(spark, PaperBudgets, nTrials, profiles) { (d, b, abae, unif, truth) =>
+      QErrorCell(d, b, Metrics.normalizedQError(abae, truth), Metrics.normalizedQError(unif, truth))
     }
-
-  def renderQ(cells: Seq[QErrorCell]): String =
-    Harness.render("T-fig4: budget vs normalized Q-error (100*(q-1))",
-      Seq("dataset", "budget", "abae_qerr", "uniform_qerr"),
-      cells.map(c => Seq(c.dataset, c.budget.toString, Harness.f2(c.abaeQ), Harness.f2(c.unifQ))))
 
   // ------------------------------------------------------------------ Fig 5
 
@@ -110,7 +100,7 @@ object CoreFigures {
   def fig5(
       spark: SparkSession,
       nTrials: Int,
-      beta: Int = 300,
+      beta: Int,
       budgets: Seq[Int] = Seq(2000, 6000, 10000),
       profiles: Seq[Datasets.Profile] = Datasets.all,
   ): Vector[CiCell] =
@@ -132,12 +122,6 @@ object CoreFigures {
         CiCell(p.name, b, aw / nTrials, ac.toDouble / nTrials, uw / nTrials, uc.toDouble / nTrials)
       }
     }
-
-  def renderCi(cells: Seq[CiCell]): String =
-    Harness.render("T-fig5: budget vs 95% CI width and empirical coverage",
-      Seq("dataset", "budget", "abae_width", "abae_cover", "unif_width", "unif_cover"),
-      cells.map(c => Seq(c.dataset, c.budget.toString, Harness.f4(c.abaeWidth),
-        Harness.f2(c.abaeCoverage), Harness.f4(c.unifWidth), Harness.f2(c.unifCoverage))))
 
   // ------------------------------------------------------------------ Fig 9
 
@@ -165,12 +149,6 @@ object CoreFigures {
       LesionCell(p.name, full, noReuse, unif)
     }
 
-  def renderLesion(cells: Seq[LesionCell]): String =
-    Harness.render("T-fig9: lesion study @ N=10000 (RMSE)",
-      Seq("dataset", "abae", "no_sample_reuse", "uniform"),
-      cells.map(c => Seq(c.dataset, Harness.f4(c.abaeRmse),
-        Harness.f4(c.noReuseRmse), Harness.f4(c.unifRmse))))
-
   // ----------------------------------------------------------------- Fig 10
 
   /** Sensitivity to the number of strata K (uniform baseline alongside). */
@@ -193,11 +171,6 @@ object CoreFigures {
         KCell(p.name, k, a, unif)
       }
     }
-
-  def renderK(cells: Seq[KCell]): String =
-    Harness.render("T-fig10: sensitivity to number of strata K @ N=10000 (RMSE)",
-      Seq("dataset", "K", "abae_rmse", "uniform_rmse"),
-      cells.map(c => Seq(c.dataset, c.k.toString, Harness.f4(c.abaeRmse), Harness.f4(c.unifRmse))))
 
   // ----------------------------------------------------------------- Fig 11
 
@@ -222,9 +195,4 @@ object CoreFigures {
         CCell(p.name, c, a, unif)
       }
     }
-
-  def renderC(cells: Seq[CCell]): String =
-    Harness.render("T-fig11: sensitivity to stage-1 fraction C @ N=10000 (RMSE)",
-      Seq("dataset", "C", "abae_rmse", "uniform_rmse"),
-      cells.map(c => Seq(c.dataset, c.c.toString, Harness.f4(c.abaeRmse), Harness.f4(c.unifRmse))))
 }

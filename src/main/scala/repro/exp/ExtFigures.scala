@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 import repro.data._
 import repro.metrics.Metrics
@@ -21,23 +21,17 @@ object ExtFigures {
       unifRmse: Double,
   )
 
-  private var multiPredCache: Map[String, LocalRecords] = Map.empty
-
   /** The two Fig-6 queries lowered to single-predicate records:
     * night-street `cars AND red_light`, and the Beta-rates synthetic.
     */
-  def multiPredDatasets(spark: SparkSession): Map[String, LocalRecords] = {
-    if (multiPredCache.isEmpty) {
-      val ns = MultiPred.lower(And(Pred("cars"), Pred("red")),
-        ExtDatasets.collectMultiPred(
-          ExtDatasets.nightStreetMultiPred(spark, Harness.sf), Vector("cars", "red")))
-      val synthRows = math.max(1000L, (100000 * Harness.sf).toLong)
-      val sy = MultiPred.lower(And(Pred("a"), Pred("b")),
-        ExtDatasets.collectMultiPred(
-          ExtDatasets.syntheticMultiPred(spark, rows = synthRows), Vector("a", "b")))
-      multiPredCache = Map("night-street(cars&red)" -> ns, "synthetic(2-pred)" -> sy)
-    }
-    multiPredCache
+  private def multiPredDatasets(spark: SparkSession): Vector[(String, LocalRecords)] = {
+    def lowered(name: String, df: => DataFrame, a: String, b: String): (String, LocalRecords) =
+      name -> Harness.memo("multipred", name)(
+        MultiPred.lower(And(Pred(a), Pred(b)), ExtDatasets.collectMultiPred(df, Vector(a, b))))
+    Vector(
+      lowered("night-street(cars&red)", ExtDatasets.nightStreetMultiPred(spark, Harness.sf), "cars", "red"),
+      lowered("synthetic(2-pred)",
+        ExtDatasets.syntheticMultiPred(spark, rows = math.max(1000L, (100000 * Harness.sf).toLong)), "a", "b"))
   }
 
   def fig6(
@@ -45,8 +39,8 @@ object ExtFigures {
       nTrials: Int,
       budgets: Seq[Int] = CoreFigures.PaperBudgets,
   ): Vector[MultiPredCell] =
-    multiPredDatasets(spark).toVector.flatMap { case (name, rec) =>
-      val strat = Harness.stratifiedOf(s"multipred-$name", rec, DefaultParams.k)
+    multiPredDatasets(spark).flatMap { case (name, rec) =>
+      val strat = StratifiedLocal(rec, DefaultParams.k)
       val truth = rec.truth
       budgets.map { b =>
         val a = Metrics.rmse(
@@ -55,12 +49,6 @@ object ExtFigures {
         MultiPredCell(name, b, a, u)
       }
     }
-
-  def renderMultiPred(cells: Seq[MultiPredCell]): String =
-    Harness.render("T-fig6: ABAE-MultiPred vs uniform (RMSE)",
-      Seq("query", "budget", "abae_rmse", "uniform_rmse", "gain"),
-      cells.map(c => Seq(c.query, c.budget.toString, Harness.f4(c.abaeRmse),
-        Harness.f4(c.unifRmse), Harness.f2(c.unifRmse / c.abaeRmse) + "x")))
 
   // -------------------------------------------------------------- Figs 7 & 8
 
@@ -71,32 +59,44 @@ object ExtFigures {
       unifMaxRmse: Double,
   )
 
-  private var groupByCache: Map[String, GroupedRecords] = Map.empty
-
-  private def groupByDataset(spark: SparkSession, key: String): GroupedRecords = {
-    if (!groupByCache.contains(key)) {
-      val rec = key match {
+  private def groupByDataset(spark: SparkSession, key: String): GroupedRecords =
+    Harness.memo("groupby", key) {
+      val rows = math.max(1000L, (200000 * Harness.sf).toLong)
+      key match {
         case "celeba(hair)" =>
           ExtDatasets.collectGrouped(
             ExtDatasets.celebaGroupBy(spark, Harness.sf), Vector("gray", "blond"))
         case "synthetic(3.3-3.5%)" =>
           ExtDatasets.collectGrouped(
-            ExtDatasets.syntheticGroupBySingle(spark,
-              rows = math.max(1000L, (200000 * Harness.sf).toLong)),
-            Vector("g1", "g2", "g3", "g4"))
+            ExtDatasets.syntheticGroupBySingle(spark, rows = rows), Vector("g1", "g2", "g3", "g4"))
         case "synthetic(16/12/9/5%)" =>
           ExtDatasets.collectGrouped(
-            ExtDatasets.syntheticGroupByMulti(spark,
-              rows = math.max(1000L, (200000 * Harness.sf).toLong)),
-            Vector("g1", "g2", "g3", "g4"))
+            ExtDatasets.syntheticGroupByMulti(spark, rows = rows), Vector("g1", "g2", "g3", "g4"))
       }
-      groupByCache += key -> rec
     }
-    groupByCache(key)
-  }
 
-  private def maxRmse(runs: Seq[Vector[Double]], truth: Vector[Double]): Double =
-    truth.indices.map(g => Metrics.rmse(runs.map(_(g)), truth(g))).max
+  /** Per (dataset, budget/group): the max over groups of the RMSE of
+    * `nTrials` ABAE and uniform runs, `run(rec, budget, t)` being trial t.
+    */
+  private def groupByCells(
+      spark: SparkSession,
+      nTrials: Int,
+      keys: Vector[String],
+      budgetsPerGroup: Seq[Int],
+  )(
+      abae: (GroupedRecords, Int, Int) => GroupBy.GroupByResult,
+      unif: (GroupedRecords, Int, Int) => GroupBy.GroupByResult,
+  ): Vector[GroupByCell] =
+    keys.flatMap { key =>
+      val rec = groupByDataset(spark, key)
+      budgetsPerGroup.map { bpg =>
+        def maxRmse(run: (GroupedRecords, Int, Int) => GroupBy.GroupByResult): Double = {
+          val runs = (1 to nTrials).map(t => run(rec, bpg * rec.g, t).estimates)
+          rec.truth.indices.map(g => Metrics.rmse(runs.map(_(g)), rec.truth(g))).max
+        }
+        GroupByCell(key, bpg, maxRmse(abae), maxRmse(unif))
+      }
+    }
 
   /** Fig 7: single-oracle group-by, max-RMSE vs budget normalized by the
     * number of groups.
@@ -106,18 +106,10 @@ object ExtFigures {
       nTrials: Int,
       budgetsPerGroup: Seq[Int] = Seq(500, 1000, 1500, 2000),
   ): Vector[GroupByCell] =
-    Vector("celeba(hair)", "synthetic(3.3-3.5%)").flatMap { key =>
-      val rec = groupByDataset(spark, key)
-      budgetsPerGroup.map { bpg =>
-        val budget = bpg * rec.g
-        val abae = maxRmse((1 to nTrials).map(t =>
-          GroupBy.runSingleOracle(rec, budget, GroupBy.GroupByParams(k = 5), 40L * budget + t)
-            .estimates), rec.truth)
-        val unif = maxRmse((1 to nTrials).map(t =>
-          GroupBy.uniformSingleOracle(rec, budget, 50L * budget + t).estimates), rec.truth)
-        GroupByCell(key, bpg, abae, unif)
-      }
-    }
+    groupByCells(spark, nTrials, Vector("celeba(hair)", "synthetic(3.3-3.5%)"), budgetsPerGroup)(
+      (rec, budget, t) =>
+        GroupBy.runSingleOracle(rec, budget, GroupBy.GroupByParams(k = 5), 40L * budget + t),
+      (rec, budget, t) => GroupBy.uniformSingleOracle(rec, budget, 50L * budget + t))
 
   /** Fig 8: multi-oracle group-by, max-RMSE vs budget normalized by the
     * number of groups. K follows the paper's rule (§3.1): maximal such
@@ -130,25 +122,12 @@ object ExtFigures {
       nTrials: Int,
       budgetsPerGroup: Seq[Int] = Seq(500, 1000, 1500, 2000),
   ): Vector[GroupByCell] =
-    Vector("celeba(hair)", "synthetic(16/12/9/5%)").flatMap { key =>
-      val rec = groupByDataset(spark, key)
-      budgetsPerGroup.map { bpg =>
-        val budget = bpg * rec.g
-        val k = math.min(5, math.max(2, (bpg * 0.5 / 100).toInt))
-        val abae = maxRmse((1 to nTrials).map(t =>
-          GroupBy.runMultiOracle(rec, budget, GroupBy.GroupByParams(k = k), 60L * budget + t)
-            .estimates), rec.truth)
-        val unif = maxRmse((1 to nTrials).map(t =>
-          GroupBy.uniformMultiOracle(rec, budget, 70L * budget + t).estimates), rec.truth)
-        GroupByCell(key, bpg, abae, unif)
-      }
-    }
-
-  def renderGroupBy(title: String, cells: Seq[GroupByCell]): String =
-    Harness.render(title,
-      Seq("query", "budget/group", "abae_max_rmse", "uniform_max_rmse", "gain"),
-      cells.map(c => Seq(c.query, c.budgetPerGroup.toString, Harness.f4(c.abaeMaxRmse),
-        Harness.f4(c.unifMaxRmse), Harness.f2(c.unifMaxRmse / c.abaeMaxRmse) + "x")))
+    groupByCells(spark, nTrials, Vector("celeba(hair)", "synthetic(16/12/9/5%)"), budgetsPerGroup)(
+      { (rec, budget, t) =>
+        val k = math.min(5, math.max(2, (budget / rec.g * 0.5 / 100).toInt))
+        GroupBy.runMultiOracle(rec, budget, GroupBy.GroupByParams(k = k), 60L * budget + t)
+      },
+      (rec, budget, t) => GroupBy.uniformMultiOracle(rec, budget, 70L * budget + t))
 
   // ----------------------------------------------------------------- Fig 12
 
@@ -161,13 +140,10 @@ object ExtFigures {
       combinedRmse: Double,
   )
 
-  private var combineCache: Map[String, (Array[Boolean], Array[Double], Vector[Array[Double]])] =
-    Map.empty
-
   private def combineDataset(spark: SparkSession, key: String)
-      : (Array[Boolean], Array[Double], Vector[Array[Double]]) = {
-    if (!combineCache.contains(key)) {
-      val data = key match {
+      : (Array[Boolean], Array[Double], Vector[Array[Double]]) =
+    Harness.memo("combine", key) {
+      key match {
         case "trec05p(keywords)" =>
           ExtDatasets.collectMultiProxy(ExtDatasets.trec05pMultiProxy(spark, Harness.sf),
             Vector("proxy_kw1", "proxy_kw2", "proxy_kw3", "proxy_junk"))
@@ -177,10 +153,7 @@ object ExtFigures {
               rows = math.max(1000L, (100000 * Harness.sf).toLong)),
             Vector("proxy_p1", "proxy_p2", "proxy_p3"))
       }
-      combineCache += key -> data
     }
-    combineCache(key)
-  }
 
   def fig12(
       spark: SparkSession,
@@ -191,10 +164,10 @@ object ExtFigures {
       val (positive, stat, proxies) = combineDataset(spark, key)
       val rec0 = LocalRecords(proxies.head, positive, stat)
       val truth = rec0.truth
+      val strata = proxies.map(pr => StratifiedLocal(LocalRecords(pr, positive, stat), DefaultParams.k))
       // Per-proxy single-proxy ABAE RMSE; best/worst reported.
       budgets.map { b =>
-        val singles = proxies.zipWithIndex.map { case (pr, j) =>
-          val strat = Harness.stratifiedOf(s"combine-$key-p$j", LocalRecords(pr, positive, stat), 5)
+        val singles = strata.zipWithIndex.map { case (strat, j) =>
           Metrics.rmse(
             Harness.abaeEstimates(strat, b, nTrials, DefaultParams, 80L * b + j), truth)
         }
@@ -206,11 +179,4 @@ object ExtFigures {
         CombineCell(key, b, unif, singles.min, singles.max, combined)
       }
     }
-
-  def renderCombine(cells: Seq[CombineCell]): String =
-    Harness.render("T-fig12: combining proxies via logistic regression (RMSE)",
-      Seq("dataset", "budget", "uniform", "best_single", "worst_single", "combined"),
-      cells.map(c => Seq(c.dataset, c.budget.toString, Harness.f4(c.unifRmse),
-        Harness.f4(c.bestSingleRmse), Harness.f4(c.worstSingleRmse),
-        Harness.f4(c.combinedRmse))))
 }

@@ -7,7 +7,7 @@ import repro.metrics.Metrics
 
 /** Shared experiment machinery for the evaluation-figure tables.
   *
-  * Spark generates and stratifies each dataset once (cached per JVM);
+  * Spark generates and stratifies each dataset once (memoized per JVM);
   * the Monte-Carlo trial loops then run through the local engine — the
   * same algorithm as the Spark engine (tested identical), with the cost
   * unit (oracle invocations) charged by [[repro.data.CountingOracle]].
@@ -25,22 +25,23 @@ object Harness {
 
   def sf: Double = sys.env.get("ABAE_BENCH_SF").map(_.toDouble).getOrElse(1.0)
 
-  // ------------------------------------------------------------- data cache
+  // ------------------------------------------------------------- data memo
 
-  private val recordCache = scala.collection.mutable.Map.empty[(String, Double), LocalRecords]
-  private val stratCache = scala.collection.mutable.Map.empty[(String, Double, Int), StratifiedLocal]
+  private val built = scala.collection.mutable.Map.empty[(String, Any, Double), Any]
 
-  /** Generate-and-collect a profile once per (name, sf). */
+  /** `build` once per (kind, key, [[sf]]) per JVM. The kind names what is
+    * built ("records", "strata", "groupby", …), so two datasets that share
+    * a key under different kinds never collide.
+    */
+  def memo[A](kind: String, key: Any)(build: => A): A =
+    built.getOrElseUpdate((kind, key, sf), build).asInstanceOf[A]
+
+  /** A profile generated and collected at [[sf]]. */
   def records(spark: SparkSession, profile: Datasets.Profile): LocalRecords =
-    recordCache.getOrElseUpdate((profile.name, sf), Datasets.local(spark, profile, sf))
+    memo("records", profile.name)(Datasets.local(spark, profile, sf))
 
   def stratified(spark: SparkSession, profile: Datasets.Profile, k: Int): StratifiedLocal =
-    stratCache.getOrElseUpdate((profile.name, sf, k),
-      StratifiedLocal(records(spark, profile), k))
-
-  /** Stratify an explicit record set with caching under a label. */
-  def stratifiedOf(label: String, rec: LocalRecords, k: Int): StratifiedLocal =
-    stratCache.getOrElseUpdate((label, sf, k), StratifiedLocal(rec, k))
+    memo("strata", (profile.name, k))(StratifiedLocal(records(spark, profile), k))
 
   // ------------------------------------------------------------ trial loops
 

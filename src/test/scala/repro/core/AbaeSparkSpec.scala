@@ -134,6 +134,14 @@ class AbaeSparkSpec extends SparkSpec {
     assert(math.abs(res.estimate - truth) < 0.1, s"est=${res.estimate} truth=$truth")
   }
 
+  test("run rejects a budget below 2K, as the local engine does") {
+    for (budget <- Seq(3, 4, 9)) {
+      val e = intercept[IllegalArgumentException](AbaeSpark.run(df, budget, AbaeParams(k = 5), seed = 1))
+      assert(e.getMessage.contains(s"budget $budget too small for 5 strata"))
+    }
+    assert(AbaeSpark.run(df, budget = 10, AbaeParams(k = 5), seed = 1).oracleCalls <= 10)
+  }
+
   test("run is deterministic in the seed") {
     val a = AbaeSpark.run(df, 1000, AbaeParams(k = 4), seed = 9)
     val b = AbaeSpark.run(df, 1000, AbaeParams(k = 4), seed = 9)

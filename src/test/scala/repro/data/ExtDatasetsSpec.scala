@@ -103,6 +103,18 @@ class ExtDatasetsSpec extends SparkSpec {
     assert(math.abs(gaps(3)) < 0.03, "junk proxy should be uninformative")
   }
 
+  test("trec05pMultiProxy and nightStreetMultiPred reuse their profile's columns") {
+    val trec = Datasets.local(spark, Datasets.trec05p, sf = 0.02)
+    val (pos, stat, _) = ExtDatasets.collectMultiProxy(
+      ExtDatasets.trec05pMultiProxy(spark, sf = 0.02), Vector("proxy_kw1"))
+    assert(pos.toSeq == trec.positive.toSeq)
+    assert(stat.toSeq == trec.stat.toSeq)
+    val night = Datasets.local(spark, Datasets.nightStreet, sf = 0.02)
+    val multi = ExtDatasets.collectMultiPred(
+      ExtDatasets.nightStreetMultiPred(spark, sf = 0.02), Vector("cars"))
+    assert(multi.stat.toSeq == night.stat.toSeq)
+  }
+
   test("syntheticMultiProxy positives follow theta and stat tracks theta") {
     val (pos, stat, proxies) = ExtDatasets.collectMultiProxy(
       ExtDatasets.syntheticMultiProxy(spark, rows = 40000),
