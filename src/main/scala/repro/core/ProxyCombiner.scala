@@ -26,7 +26,9 @@ object ProxyCombiner {
       model: LogisticRegression#Model,
   )
 
-  /** Train on a labeled pilot and score every record. */
+  /** Train on a labeled pilot and score every record. Every proxy value
+    * must be finite; the first that is not is named by column and record.
+    */
   def combineScores(
       proxies: Vector[Array[Double]],
       pilotIdx: Array[Int],
@@ -42,7 +44,12 @@ object ProxyCombiner {
     var i = 0
     while (i < n) {
       var j = 0
-      while (j < proxies.length) { feat(j) = proxies(j)(i); j += 1 }
+      while (j < proxies.length) {
+        val v = proxies(j)(i)
+        require(java.lang.Double.isFinite(v), s"proxy $j has a non-finite value ($v) at record $i")
+        feat(j) = v
+        j += 1
+      }
       scores(i) = model.predictProb(feat)
       i += 1
     }
@@ -53,7 +60,9 @@ object ProxyCombiner {
     *
     * @param positive hidden oracle labels (accessed only for sampled records)
     * @param stat     hidden statistic values
-    * @param proxies  cheap per-record candidate scores (freely readable)
+    * @param proxies  cheap per-record candidate scores (freely readable):
+    *                 at least one column, each of length `positive.length`
+    *                 and every value finite
     */
   def run(
       positive: Array[Boolean],
@@ -66,6 +75,10 @@ object ProxyCombiner {
     val n = positive.length
     val k = params.k
     require(budget >= 2 * k, s"budget $budget too small for $k strata")
+    require(proxies.nonEmpty, "no proxy columns")
+    proxies.zipWithIndex.foreach { case (col, j) =>
+      require(col.length == n, s"proxy $j has ${col.length} values for $n records")
+    }
     val rng = Rng.stream(seed, 13)
     var calls = 0L
     def oracle(i: Int): (Boolean, Double) = { calls += 1; (positive(i), stat(i)) }

@@ -68,6 +68,32 @@ class ProxyCombinerSpec extends AnyFunSuite {
     assert(combined < junkRmse, s"combined=$combined junk=$junkRmse")
   }
 
+  test("run rejects an empty proxy vector") {
+    val e = intercept[IllegalArgumentException] {
+      ProxyCombiner.run(positive, stat, Vector.empty, 2000, AbaeParams(), 1)
+    }
+    assert(e.getMessage.contains("no proxy columns"))
+  }
+
+  test("run rejects a proxy column shorter than the records") {
+    val e = intercept[IllegalArgumentException] {
+      ProxyCombiner.run(positive, stat, Vector(good, junk.take(n - 1)), 2000, AbaeParams(), 1)
+    }
+    assert(e.getMessage.contains(s"proxy 1 has ${n - 1} values for $n records"))
+  }
+
+  test("run rejects a non-finite proxy value, naming its column and record") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val col = junk.clone()
+      col(123) = bad
+      val e = intercept[IllegalArgumentException] {
+        ProxyCombiner.run(positive, stat, Vector(good, col), 2000, AbaeParams(), 1)
+      }
+      assert(e.getMessage.contains("proxy 1 has a non-finite value") &&
+        e.getMessage.contains("at record 123"), e.getMessage)
+    }
+  }
+
   test("run rejects undersized budgets") {
     intercept[IllegalArgumentException] {
       ProxyCombiner.run(positive, stat, Vector(good), 5, AbaeParams(k = 5), 1)

@@ -5,6 +5,114 @@ import scala.util.Random
 
 class LogisticRegressionSpec extends AnyFunSuite {
 
+  /** The former fit, fixed-step full-batch gradient descent on the same
+    * objective, kept as the reference `fit` must match or beat.
+    */
+  private def gradientDescentReference(
+      lr: LogisticRegression,
+      xs: Array[Array[Double]],
+      ys: Array[Int],
+      maxIter: Int,
+      tol: Double,
+  ): lr.Model = {
+    val learningRate = 0.5
+    val n = xs.length
+    val d = xs.head.length
+    val mean = Array.tabulate(d)(j => xs.map(_(j)).sum / n)
+    val std = Array.tabulate(d)(j =>
+      math.max(math.sqrt(xs.map(x => (x(j) - mean(j)) * (x(j) - mean(j))).sum / n), 1e-12))
+    val z = Array.tabulate(n, d)((i, jj) => (xs(i)(jj) - mean(jj)) / std(jj))
+
+    val w = new Array[Double](d)
+    var b = 0.0
+    var iter = 0
+    var moved = Double.MaxValue
+    while (iter < maxIter && moved > tol) {
+      val gw = new Array[Double](d)
+      var gb = 0.0
+      var i = 0
+      while (i < n) {
+        var dot = b
+        var k = 0
+        while (k < d) { dot += w(k) * z(i)(k); k += 1 }
+        val err = LogisticRegression.sigmoid(dot) - ys(i)
+        k = 0
+        while (k < d) { gw(k) += err * z(i)(k); k += 1 }
+        gb += err
+        i += 1
+      }
+      moved = 0.0
+      var k = 0
+      while (k < d) {
+        val step = learningRate * (gw(k) / n + lr.lambda * w(k))
+        w(k) -= step
+        moved += math.abs(step)
+        k += 1
+      }
+      val stepB = learningRate * gb / n
+      b -= stepB
+      moved += math.abs(stepB)
+      iter += 1
+    }
+    lr.Model(mean, std, w, b)
+  }
+
+  /** The objective and its gradient (weights, then bias) at a fitted model. */
+  private def objectiveAndGradient(
+      lr: LogisticRegression,
+      m: LogisticRegression#Model,
+      xs: Array[Array[Double]],
+      ys: Array[Int],
+  ): (Double, Array[Double]) = {
+    val d = m.weights.length
+    val n = xs.length
+    val g = new Array[Double](d + 1)
+    var nll = 0.0
+    for (i <- 0 until n) {
+      val z = Array.tabulate(d)(j => (xs(i)(j) - m.mean(j)) / m.std(j))
+      val t = m.bias + (0 until d).map(j => m.weights(j) * z(j)).sum
+      nll += math.log1p(math.exp(-math.abs(t))) + math.max(if (ys(i) == 1) -t else t, 0.0)
+      val r = LogisticRegression.sigmoid(t) - ys(i)
+      for (j <- 0 until d) g(j) += r * z(j) / n
+      g(d) += r / n
+    }
+    for (j <- 0 until d) g(j) += lr.lambda * m.weights(j)
+    (nll / n + 0.5 * lr.lambda * m.weights.map(w => w * w).sum, g)
+  }
+
+  /** Pilot-like instances: 1–4 features, each a shared score plus noise
+    * (strongly correlated, as the keyword proxies are) or pure noise, and
+    * labels drawn from a logistic model of the score.
+    */
+  private def instance(seed: Int): (Array[Array[Double]], Array[Int]) = {
+    val rng = new Random(seed)
+    val d = 1 + seed % 4
+    val n = 300 + rng.nextInt(1200)
+    val noise = Array.fill(d)(Seq(0.05, 0.15, 0.35, 0.6, -1.0)(rng.nextInt(5)))
+    val slope = 2.0 + 6.0 * rng.nextDouble()
+    val shift = rng.nextDouble()
+    val score = Array.fill(n)(rng.nextDouble())
+    val xs = score.map(s => noise.map(tau => if (tau < 0) rng.nextDouble() else s + rng.nextGaussian() * tau))
+    val ys = score.map(s => if (rng.nextDouble() < LogisticRegression.sigmoid(slope * (s - shift))) 1 else 0)
+    (xs, ys)
+  }
+
+  test("fit reaches the optimum that gradient descent approaches") {
+    val lr = new LogisticRegression()
+    (0 until 20).foreach { seed =>
+      val (xs, ys) = instance(seed)
+      val m = lr.fit(xs, ys)
+      val ref = gradientDescentReference(lr, xs, ys, maxIter = 100000, tol = 1e-13)
+      val (obj, grad) = objectiveAndGradient(lr, m, xs, ys)
+      val (refObj, _) = objectiveAndGradient(lr, ref, xs, ys)
+      assert(obj <= refObj + 1e-12, s"seed $seed: objective $obj vs reference $refObj")
+      val gradNorm = math.sqrt(grad.map(g => g * g).sum)
+      assert(gradNorm <= 1e-8, s"seed $seed: gradient norm $gradNorm")
+      val gap = xs.map(x => math.abs(m.predictProb(x) - ref.predictProb(x))).max
+      assert(gap <= 1e-6, s"seed $seed: predicted probabilities differ by $gap")
+    }
+  }
+
   test("separates linearly separable 1-d data") {
     val xs = Array.tabulate(100)(i => Array(if (i < 50) -1.0 else 1.0))
     val ys = Array.tabulate(100)(i => if (i < 50) 0 else 1)
@@ -28,7 +136,7 @@ class LogisticRegressionSpec extends AnyFunSuite {
     val rng = new Random(1)
     val xs = Array.fill(5000)(Array(rng.nextGaussian()))
     val ys = xs.map(x => if (rng.nextDouble() < LogisticRegression.sigmoid(x(0))) 1 else 0)
-    val m = new LogisticRegression(maxIter = 2000).fit(xs, ys)
+    val m = new LogisticRegression().fit(xs, ys)
     // P(y=1 | x=0) should be near 0.5, x=1 near sigmoid(1)=0.73.
     assert(math.abs(m.predictProb(Array(0.0)) - 0.5) < 0.08)
     assert(math.abs(m.predictProb(Array(1.0)) - LogisticRegression.sigmoid(1.0)) < 0.1)
@@ -39,6 +147,14 @@ class LogisticRegressionSpec extends AnyFunSuite {
     val m = new LogisticRegression().fit(xs, Array.fill(50)(1))
     val p = m.predictProb(Array(1.0, 2.0))
     assert(!p.isNaN && p > 0.5)
+  }
+
+  test("constant labels give that label's probability to within 1e-20") {
+    val rng = new Random(4)
+    val xs = Array.fill(50)(Array(rng.nextDouble(), rng.nextGaussian()))
+    val none = new LogisticRegression().fit(xs, Array.fill(50)(0))
+    val all = new LogisticRegression().fit(xs, Array.fill(50)(1))
+    assert(xs.forall(x => none.predictProb(x) < 1e-20 && 1 - all.predictProb(x) < 1e-20))
   }
 
   test("handles a constant feature (zero variance) via the std floor") {
