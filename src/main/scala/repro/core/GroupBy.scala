@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.data.GroupedRecords
-import repro.optim.NelderMead
 import repro.sampling.{PermutationSampler, Rng}
 import scala.collection.mutable.ArrayBuffer
 
@@ -34,8 +33,8 @@ final class PerGroupOracle(data: GroupedRecords) {
 }
 
 /** ABAE-GroupBy (§3.2, §4.5): minimax-error sample allocation across the
-  * per-group stratifications, solved with Nelder–Mead over the
-  * probability simplex (Eqs. 10 and 11).
+  * per-group stratifications (Eqs. 10 and 11), solved exactly by
+  * [[GroupBy.minimaxShares]].
   */
 object GroupBy {
 
@@ -76,6 +75,116 @@ object GroupBy {
       k += 1
     }
     math.max(s, VarFloor)
+  }
+
+  // ---------------------------------------------------------- minimax Λ
+
+  /** A group's modeled error as a function of its Stage-2 share λ ∈ [0,1]:
+    * `V(λ) = Σ_k c_k / (a + λ·b_k)`, with `c_k > 0` and `a + λ·b_k > 0` on
+    * (0,1], so V is convex there. It may be +∞ at λ = 0, and `b_k` may be
+    * negative, so V need not be monotone.
+    */
+  private[core] final case class ErrorCurve(c: Array[Double], a: Double, b: Array[Double]) {
+    def apply(l: Double): Double = {
+      var s = 0.0
+      var k = 0
+      while (k < c.length) { s += c(k) / (a + l * b(k)); k += 1 }
+      s
+    }
+
+    /** dV/dλ, non-decreasing in λ. */
+    def slope(l: Double): Double = {
+      var s = 0.0
+      var k = 0
+      while (k < c.length) {
+        val d = a + l * b(k)
+        s -= c(k) * b(k) / (d * d)
+        k += 1
+      }
+      s
+    }
+  }
+
+  private val MaxBisections = 200
+  private val EndpointTol = 1e-12
+
+  /** Shrinks `[x0, x1]`, where `p(x0)` holds and `p(x1)` does not, until no
+    * double lies strictly between the two ends (or [[MaxBisections]] halvings).
+    */
+  private def bracket(x0: Double, x1: Double)(p: Double => Boolean): (Double, Double) = {
+    var lo = x0
+    var hi = x1
+    var mid = 0.5 * (lo + hi)
+    var i = 0
+    while (i < MaxBisections && mid > lo && mid < hi) {
+      if (p(mid)) lo = mid else hi = mid
+      mid = 0.5 * (lo + hi)
+      i += 1
+    }
+    (lo, hi)
+  }
+
+  /** A minimizer of V on [0,1]. An endpoint whose value is within 1e-12
+    * (relative) of the minimum is returned as the minimizer itself, so a
+    * vertex share comes out as exactly 0 or 1.
+    */
+  private def argmin(v: ErrorCurve): Double = {
+    val m =
+      if (v.slope(0.0) >= 0) 0.0
+      else if (v.slope(1.0) <= 0) 1.0
+      else bracket(0.0, 1.0)(v.slope(_) < 0)._2
+    val vm = v(m)
+    if (math.abs(v(1.0) - vm) <= EndpointTol * vm) 1.0
+    else if (math.abs(v(0.0) - vm) <= EndpointTol * vm) 0.0
+    else m
+  }
+
+  /** The exact minimax shares of Eqs. 10–11: Λ on the probability simplex
+    * minimizing `max_g V_g(Λ_g)`. Each group's error depends on its own share
+    * only, so this bisects on the error level t: group g's sublevel set
+    * `{λ ∈ [0,1] : V_g(λ) ≤ t}` is an interval `[lo_g, hi_g]`, and t is
+    * feasible iff every interval is non-empty and `Σ lo_g ≤ 1 ≤ Σ hi_g`. At
+    * the least feasible t, `Λ_g = (1 − θ)·lo_g + θ·hi_g` with one θ that
+    * makes the shares sum to 1 (so θ = 0 or 1 gives the ends exactly).
+    *
+    *  - When the largest of the groups' own minima is feasible, that group
+    *    gets exactly its minimizer (a vertex share is exactly 1.0).
+    *  - When any group's error is infinite at every share (no pilot
+    *    positives, or no Stage-2 budget to spend), every group gets exactly
+    *    1/G.
+    */
+  private[core] def minimaxShares(curves: IndexedSeq[ErrorCurve]): Array[Double] = {
+    val g = curves.length
+    val m = curves.map(argmin).toArray
+    val vMin = Array.tabulate(g)(j => curves(j)(m(j)))
+    if (vMin.exists(_.isInfinite)) return Array.fill(g)(1.0 / g)
+    val t0 = vMin.max
+
+    // The sublevel intervals at level t, or None when t is infeasible.
+    def at(t: Double): Option[Array[(Double, Double)]] =
+      if (vMin.exists(_ > t)) None
+      else {
+        val iv = Array.tabulate(g) { j =>
+          val v = curves(j)
+          if (vMin(j) == t) (m(j), m(j))
+          else (
+            if (v(0.0) <= t) 0.0 else bracket(0.0, m(j))(v(_) > t)._2,
+            if (v(1.0) <= t) 1.0 else bracket(m(j), 1.0)(v(_) <= t)._1)
+        }
+        if (iv.map(_._1).sum <= 1.0 && iv.map(_._2).sum >= 1.0) Some(iv) else None
+      }
+
+    val iv = at(t0).getOrElse {
+      // Λ = 1/G lies in every sublevel set at this level; doubling only
+      // absorbs rounding in the interval ends.
+      var hi = curves.map(_(1.0 / g)).max
+      while (at(hi).isEmpty) hi *= 2
+      at(bracket(t0, hi)(at(_).isEmpty)._2).get
+    }
+    val sumLo = iv.map(_._1).sum
+    val sumHi = iv.map(_._2).sum
+    val theta = if (sumHi > sumLo) (1.0 - sumLo) / (sumHi - sumLo) else 0.0
+    iv.map { case (lo, hi) => if (lo == hi) lo else (1 - theta) * lo + theta * hi }
   }
 
   // ------------------------------------------------------------ single oracle
@@ -129,38 +238,27 @@ object GroupBy {
     val tHat = ownEst.map(e => Estimators.allocationFromPilot(e))
 
     val n2 = (budget - oracle.calls).toInt
-    val n1PerCell = n1.toDouble / k
-    // Minimax objective (the Eq. 10 allocation question, adapted to the
-    // every-draw-in-every-stratification estimator below): group g's
-    // modeled error is the ratio-estimator variance over its own
-    // stratification's cells, Σ_k ŵ² σ̂² / (p̂ · d_k(Λ)), where cell k's
-    // draw count d_k(Λ) = Stage-1 share + Λ_g·N2·T̂_{g,k} (own,
-    // concentrated) + Σ_{l≠g} Λ_l·N2 / K (cross draws, which land flat).
-    def objective(lambda: Array[Double]): Double = {
-      var worst = 0.0
-      var tg = 0
-      while (tg < g) {
-        val cells = ownEst(tg)
-        val pSum = cells.map(_.pHat).sum
-        val crossFlat = (1.0 - lambda(tg)) * n2 / k
-        var v = 0.0
-        var s = 0
-        while (s < k) {
+    // Group tg's modeled error (the Eq. 10 allocation question, adapted to
+    // the every-draw-in-every-stratification estimator below) is the
+    // ratio-estimator variance over its own stratification's cells,
+    // Σ_k ŵ² σ̂² / (p̂ · d_k), where cell k's draw count d_k = N1/K (Stage 1)
+    // + Λ_g·N2·T̂_{g,k} (own, concentrated) + (1 − Λ_g)·N2/K (cross draws,
+    // which land flat) = (N1 + N2)/K + Λ_g·N2·(T̂_{g,k} − 1/K).
+    val curves = Vector.tabulate(g) { tg =>
+      val cells = ownEst(tg)
+      val pSum = cells.map(_.pHat).sum
+      val ks = (0 until k).filter(cells(_).pHat > 0).toArray
+      if (ks.isEmpty) ErrorCurve(Array(Double.PositiveInfinity), 1.0, Array(0.0)) // no pilot positives
+      else ErrorCurve(
+        ks.map { s =>
           val e = cells(s)
-          if (e.pHat > 0) {
-            val w = e.pHat / pSum
-            val d = n1PerCell + lambda(tg) * n2 * tHat(tg)(s) + crossFlat
-            v += w * w * math.max(e.sigmaHat * e.sigmaHat, VarFloor) / (e.pHat * d)
-          }
-          s += 1
-        }
-        val err = if (pSum == 0) Double.MaxValue else v
-        if (err > worst) worst = err
-        tg += 1
-      }
-      worst
+          val w = e.pHat / pSum
+          w * w * math.max(e.sigmaHat * e.sigmaHat, VarFloor) / e.pHat
+        },
+        (n1 + n2).toDouble / k,
+        ks.map(s => n2 * (tHat(tg)(s) - 1.0 / k)))
     }
-    val lambdas = NelderMead.minimizeOnSimplex(objective, g).point
+    val lambdas = minimaxShares(curves)
 
     // Stage 2: Λ_l·N2 to stratification l, T̂_{l,k} within it; draws are
     // uniform over each cell's not-yet-drawn records so stage unions stay
@@ -222,21 +320,8 @@ object GroupBy {
     val base = Array.tabulate(g)(l => baseVariance(est1(l), tHat(l)))
 
     val n2 = (budget - oracle.calls).toInt
-    // Eq. 11 objective: max_g baseVar(g) / (Λ_g · N2).
-    def objective(lambda: Array[Double]): Double = {
-      var worst = 0.0
-      var l = 0
-      while (l < g) {
-        val v =
-          if (base(l).isInfinite) Double.MaxValue
-          else if (lambda(l) <= 0) Double.MaxValue
-          else base(l) / (lambda(l) * n2)
-        if (v > worst) worst = v
-        l += 1
-      }
-      worst
-    }
-    val lambdas = NelderMead.minimizeOnSimplex(objective, g).point
+    // Eq. 11: group l's modeled error is baseVar(l) / (Λ_l · N2).
+    val lambdas = minimaxShares(Vector.tabulate(g)(l => ErrorCurve(Array(base(l)), 0.0, Array(n2.toDouble))))
 
     // Stage 2 extends each cell's permutation — exact sample reuse.
     val budgets = Estimators.stage2Sizes(n2, lambdas)

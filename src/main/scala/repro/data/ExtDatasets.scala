@@ -19,6 +19,10 @@ final case class MultiPredRecords(
 /** Group-by dataset: G mutually exclusive groups (`group(i)` in 0..G-1,
   * or -1 for no group), one proxy score array per group.
   *
+  * Construction rejects a proxy count other than G, a proxy or group column
+  * of the wrong length, a group key outside -1..G-1, a non-finite proxy
+  * value and a non-finite statistic on a group member.
+  *
   * The proxy arrays must not be mutated: [[strata]] keeps the first
   * stratification it computes for each K.
   */
@@ -30,6 +34,19 @@ final case class GroupedRecords(
 ) {
   def n: Int = stat.length
   def g: Int = groupNames.length
+
+  require(proxies.length == g, s"${proxies.length} proxy columns for $g groups")
+  require(group.length == n, s"group has ${group.length} values for $n records")
+  for ((col, j) <- proxies.zipWithIndex) {
+    require(col.length == n, s"proxy $j has ${col.length} values for $n records")
+    for (i <- 0 until n)
+      require(java.lang.Double.isFinite(col(i)), s"proxy $j has a non-finite value (${col(i)}) at record $i")
+  }
+  for (i <- 0 until n) {
+    require(group(i) >= -1 && group(i) < g, s"group has key ${group(i)} at record $i, outside -1..${g - 1}")
+    require(group(i) < 0 || java.lang.Double.isFinite(stat(i)),
+      s"stat has a non-finite value (${stat(i)}) at record $i, a member of group ${group(i)}")
+  }
 
   private val strataByK = new java.util.concurrent.ConcurrentHashMap[Int, Vector[Stratification]]()
 

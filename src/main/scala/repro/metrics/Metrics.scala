@@ -30,10 +30,4 @@ object Metrics {
   /** Paper's normalized Q-error: `100·(q−1)`, roughly percent error. */
   def normalizedQError(estimates: Seq[Double], truth: Double): Double =
     100.0 * (mean(estimates.map(qError(_, truth))) - 1.0)
-
-  /** Mean absolute relative error in percent. */
-  def relativeErrorPct(estimates: Seq[Double], truth: Double): Double = {
-    require(truth != 0.0, "relative error undefined for zero truth")
-    100.0 * mean(estimates.map(e => math.abs(e - truth) / math.abs(truth)))
-  }
 }

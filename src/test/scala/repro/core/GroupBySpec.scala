@@ -180,6 +180,47 @@ class GroupBySpec extends SparkSpec {
     intercept[IllegalArgumentException] { GroupByParams(k = 0) }
   }
 
+  // ------------------------------------------------------- input validation
+
+  private def tiny(
+      proxies: Vector[Array[Double]] = Vector(Array(0.1, 0.2, 0.3), Array(0.4, 0.5, 0.6)),
+      group: Array[Int] = Array(0, 1, -1),
+      stat: Array[Double] = Array(1.0, 2.0, 0.0),
+  ): GroupedRecords = GroupedRecords(Vector("a", "b"), proxies, group, stat)
+
+  private def rejects(message: String)(build: => GroupedRecords): Unit = {
+    val e = intercept[IllegalArgumentException](build)
+    assert(e.getMessage.contains(message), e.getMessage)
+  }
+
+  test("GroupedRecords rejects a proxy count other than G") {
+    tiny()
+    rejects("1 proxy columns for 2 groups")(tiny(proxies = Vector(Array(0.1, 0.2, 0.3))))
+  }
+
+  test("GroupedRecords rejects a proxy or group column of the wrong length") {
+    rejects("proxy 1 has 2 values for 3 records")(tiny(proxies = Vector(Array(0.1, 0.2, 0.3), Array(0.4, 0.5))))
+    rejects("group has 4 values for 3 records")(tiny(group = Array(0, 1, -1, 0)))
+  }
+
+  test("GroupedRecords rejects a group key outside -1..G-1, naming the record") {
+    rejects("group has key 2 at record 1, outside -1..1")(tiny(group = Array(0, 2, -1)))
+    rejects("group has key -2 at record 2")(tiny(group = Array(0, 1, -2)))
+  }
+
+  test("GroupedRecords rejects a non-finite proxy value, naming its column and record") {
+    for (v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+      rejects(s"proxy 1 has a non-finite value ($v) at record 2")(
+        tiny(proxies = Vector(Array(0.1, 0.2, 0.3), Array(0.4, 0.5, v))))
+  }
+
+  test("GroupedRecords rejects a non-finite statistic on a group member, not on a non-member") {
+    for (v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+      rejects(s"stat has a non-finite value ($v) at record 1, a member of group 1")(
+        tiny(stat = Array(1.0, v, 0.0)))
+    assert(tiny(stat = Array(1.0, 2.0, Double.NaN)).truth == Vector(1.0, 2.0))
+  }
+
   test("budget guards reject undersized budgets") {
     intercept[IllegalArgumentException] {
       runSingleOracle(data, budget = 10, GroupByParams(k = 5), seed = 1)

@@ -5,11 +5,12 @@ import repro.data.{CountingOracle, GroupedRecords, LocalRecords, StratifiedLocal
 import scala.util.Random
 
 /** Seeded outputs of the local kernels on small fixed data, pinned to
-  * values printed by earlier revisions: the GroupBy and proxy-combination
-  * pins by the per-trial (proxy, index) tuple sort, the ABAE, uniform and
-  * uniform-GroupBy pins by the per-site Stage-2 sizing and labelling
-  * loops. Proxies are quantized, so ties between records decide stratum
-  * membership.
+  * values printed by earlier revisions: the proxy-combination pins and the
+  * GroupBy estimates by the per-trial (proxy, index) tuple sort, the GroupBy
+  * Λ (and single-oracle seeds 2–3) by the exact minimax solver, the ABAE,
+  * uniform and uniform-GroupBy pins by the per-site Stage-2 sizing and
+  * labelling loops. Proxies are quantized, so ties between records decide
+  * stratum membership.
   */
 class SeededOutputsSpec extends AnyFunSuite {
 
@@ -59,25 +60,25 @@ class SeededOutputsSpec extends AnyFunSuite {
   test("runSingleOracle reproduces its seeded outputs") {
     assertResult(runSingleOracle(data, 600, GroupByParams(k = 5), 1),
       Seq(0.9387997430271194, 2.3182514711891464, 3.0669306831482515),
-      Seq(3.0705757289444572E-21, 6.630762530539082E-45, 1.0), 599)
+      Seq(0.0, 0.0, 1.0), 599)
     assertResult(runSingleOracle(data, 600, GroupByParams(k = 5), 2),
-      Seq(1.0225327423457393, 1.9913618677426617, 3.081809177391265),
-      Seq(3.0209842210755803E-16, 0.9999999999999998, 2.24829239793495E-34), 597)
+      Seq(1.0839864403271653, 1.842830363828793, 3.1129646847708643),
+      Seq(0.0, 1.0, 0.0), 598)
     assertResult(runSingleOracle(data, 450, GroupByParams(k = 3), 3),
-      Seq(1.0502060639454736, 2.246547619394066, 2.9941562739053813),
-      Seq(3.254621829553268E-16, 3.0863031168786583E-34, 0.9999999999999998), 447)
+      Seq(1.07706199342333, 2.1893745266375513, 3.2155672691716863),
+      Seq(0.0, 0.0, 1.0), 449)
   }
 
   test("runMultiOracle reproduces its seeded outputs") {
     assertResult(runMultiOracle(data, 900, GroupByParams(k = 5), 1),
       Seq(0.7385641872020852, 2.370095713262101, 2.743220300122106),
-      Seq(0.26324207753928097, 0.28825990560840975, 0.4484980168523093), 892)
+      Seq(0.2632420775466206, 0.2882599055742887, 0.44849801687909074), 892)
     assertResult(runMultiOracle(data, 900, GroupByParams(k = 5), 2),
       Seq(0.9400452444567711, 2.119358649884437, 3.0690064428360393),
-      Seq(0.32279809932685005, 0.601638096713505, 0.0755638039596449), 892)
+      Seq(0.32279809932230225, 0.6016380967392143, 0.07556380393848348), 892)
     assertResult(runMultiOracle(data, 300, GroupByParams(k = 2), 3),
       Seq(0.8231015536596284, 1.7825582822974582, 3.1835227851406405),
-      Seq(0.06386210979371537, 0.39247096310462404, 0.5436669271016606), 297)
+      Seq(0.06386210979007995, 0.39247096310134294, 0.5436669271085772), 297)
   }
 
   test("ProxyCombiner.run reproduces its seeded outputs") {

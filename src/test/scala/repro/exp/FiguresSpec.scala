@@ -48,4 +48,13 @@ class FiguresSpec extends SparkSpec {
     assert(ci.map(c => (c.dataset, c.budget)) == Seq(("celeba-tiny", 200)))
     assert(ci.forall(c => Seq(c.abaeWidth, c.abaeCoverage, c.unifWidth, c.unifCoverage).forall(_.isFinite)))
   }
+
+  test("fig7 and fig8 give one finite, positive max-RMSE pair per (query, budget)") {
+    def check(cells: Vector[ExtFigures.GroupByCell], queries: Seq[String]): Unit = {
+      assert(cells.map(c => (c.query, c.budgetPerGroup)) == queries.map((_, 500)))
+      assert(cells.forall(c => Seq(c.abaeMaxRmse, c.unifMaxRmse).forall(x => x.isFinite && x > 0)), cells)
+    }
+    check(ExtFigures.fig7(spark, nTrials = 2, budgetsPerGroup = Seq(500)), Seq("celeba(hair)", "synthetic(3.3-3.5%)"))
+    check(ExtFigures.fig8(spark, nTrials = 2, budgetsPerGroup = Seq(500)), Seq("celeba(hair)", "synthetic(16/12/9/5%)"))
+  }
 }

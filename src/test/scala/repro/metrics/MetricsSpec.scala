@@ -43,9 +43,4 @@ class MetricsSpec extends AnyFunSuite {
     assert(math.abs(Metrics.normalizedQError(Seq(1.1), 1.0) - 10.0) < 1e-9)
     assert(Metrics.normalizedQError(Seq(1.0, 1.0), 1.0) == 0.0)
   }
-
-  test("relativeErrorPct averages absolute relative errors") {
-    assert(math.abs(Metrics.relativeErrorPct(Seq(1.1, 0.9), 1.0) - 10.0) < 1e-9)
-    intercept[IllegalArgumentException] { Metrics.relativeErrorPct(Seq(1.0), 0.0) }
-  }
 }
