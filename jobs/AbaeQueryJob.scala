@@ -5,7 +5,7 @@ import repro.core.{AbaeParams, AbaeSpark, Bootstrap, Estimators}
 import repro.data.Datasets
 import repro.sampling.Rng
 
-/** End-to-end ABAE query through the pure Spark engine, the shape of the
+/** End-to-end ABAE query through the Spark engine, the shape of the
   * paper's §2.2 examples:
   *
   * {{{
@@ -25,12 +25,10 @@ object AbaeQueryJob {
     try {
       val profile = Datasets.byName(dataset)
       val df = Datasets.generate(spark, profile).cache()
-      val params = AbaeParams(k = 5)
-      val res = AbaeSpark.run(df, budget, params, seed = 42)
+      val res = AbaeSpark.run(df, budget, AbaeParams(k = 5), seed = 42)
 
-      // Bootstrap the CI from the sampled rows (both stages, per stratum).
-      val draws = AbaeSpark.drawsOf(res.sampled, params.k)
-      val ci = Bootstrap.ci(draws, beta = 1000, alpha = 0.05, Rng.stream(43, 0))
+      // Bootstrap the CI from the draws of both stages, per stratum.
+      val ci = Bootstrap.ci(res.draws, beta = 1000, alpha = 0.05, Rng.stream(43, 0))
 
       val truth = df.filter("positive").agg(org.apache.spark.sql.functions.avg("stat"))
         .collect()(0).getDouble(0)

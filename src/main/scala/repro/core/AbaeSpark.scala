@@ -1,37 +1,39 @@
 package repro.core
 
+import scala.language.implicitConversions
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.sampling.PrefixSampler
 
-/** ABAE's Spark engine: the same Algorithm 1, expressed end-to-end as
-  * DataFrame transformations (Catalyst), over a dataset with columns
-  * `(id, proxy, positive, stat)`.
+/** ABAE's Spark engine over a dataset with columns
+  * `(id, proxy, positive, stat)`: Catalyst stratifies and ranks, and the
+  * local [[Abae.run]] runs Algorithm 1 on the result.
   *
   * Pipeline: stratify by proxy quantile (`ntile`) → attach a seeded
   * per-stratum random permutation rank (`row_number` over `xxhash64`) →
-  * Stage 1 is rank ≤ N1, Stage 2 extends each stratum's prefix by its
-  * allocation — sampling without replacement and cross-stage sample
-  * reuse both fall out of the single permutation, exactly like the local
-  * engine's [[repro.sampling.PermutationSampler]].
+  * collect each stratum's first `budget` rows in rank order, the only rows
+  * Algorithm 1 can ask for → `Abae.run` with one [[PrefixSampler]] per
+  * stratum, so a rank prefix is the uniform without-replacement sample and
+  * Stage 2 extends Stage 1's prefix.
   *
-  * Oracle cost here is the number of sampled rows whose `positive`/`stat`
-  * columns the plan reads — labels are never touched outside the sampled
-  * prefixes. The per-stratum aggregations are plain `groupBy` aggregates
-  * so the DuckDB oracle can check every one of them.
+  * Accounting: the collected rows carry their `positive`/`stat` columns,
+  * as the local engine's records do (the cost modeled is oracle calls, not
+  * dataflow), but the algorithm reads them only through an oracle that
+  * charges one call per row it serves. `sampled` holds exactly the served
+  * rows, so its row count equals `oracleCalls`.
   */
 object AbaeSpark {
 
-  /** Outcome plus the intermediate DataFrames tests verify with DuckDB. */
-  final case class SparkResult(
-      estimate: Double,
-      perStratum: Vector[StratumEstimates],
-      stage1: Vector[StratumEstimates],
-      allocation: Array[Double],
-      oracleCalls: Long,
-      finalAgg: DataFrame,
-      sampled: DataFrame,
-  )
+  /** The run's [[AbaeResult]], readable through an implicit view, plus a
+    * local DataFrame of the served rows `(id, stratum, rk, positive, stat)`
+    * in the order they were served.
+    */
+  final case class SparkResult(result: AbaeResult, sampled: DataFrame)
+
+  object SparkResult {
+    implicit def toAbaeResult(r: SparkResult): AbaeResult = r.result
+  }
 
   /** Add a `stratum` column (1..k): proxy-quantile stratification via
     * `ntile(k) OVER (ORDER BY proxy, id)` — `ABAEInit` of Algorithm 1.
@@ -49,75 +51,32 @@ object AbaeSpark {
       Window.partitionBy("stratum")
         .orderBy(xxhash64(col("id"), lit(seed)), col("id"))))
 
-  /** Per-stratum plug-in estimates of a sampled subset, as one Catalyst
-    * aggregation. Output columns: stratum, draws, npos, p, mu, sigma.
-    */
-  def stratumAgg(sampled: DataFrame): DataFrame =
-    sampled.groupBy("stratum").agg(
-      count(lit(1)).as("draws"),
-      sum(when(col("positive"), 1L).otherwise(0L)).as("npos"),
-      (sum(when(col("positive"), 1L).otherwise(0L)) / count(lit(1))).as("p"),
-      coalesce(avg(when(col("positive"), col("stat"))), lit(0.0)).as("mu"),
-      coalesce(stddev_samp(when(col("positive"), col("stat"))), lit(0.0)).as("sigma"),
-    )
-
-  private def toEstimates(rows: Array[Row], k: Int): Vector[StratumEstimates] = {
-    val byStratum = rows.map { r =>
-      val stratum = r.getInt(r.fieldIndex("stratum"))
-      val draws = r.getLong(r.fieldIndex("draws")).toInt
-      val npos = r.getLong(r.fieldIndex("npos")).toInt
-      val p = r.getDouble(r.fieldIndex("p"))
-      val mu = r.getDouble(r.fieldIndex("mu"))
-      // stddev_samp of a single value is NaN in some engines, null in
-      // others; normalize both to the paper's 0 convention.
-      val sigmaRaw = r.getDouble(r.fieldIndex("sigma"))
-      val sigma = if (npos > 1 && !sigmaRaw.isNaN) sigmaRaw else 0.0
-      stratum -> StratumEstimates(draws, npos, p, mu, sigma)
-    }.toMap
-    Vector.tabulate(k)(s => byStratum.getOrElse(s + 1, StratumEstimates(0, 0, 0.0, 0.0, 0.0)))
-  }
-
-  /** `sampled`'s draws (both stages) per stratum, the bootstrap's input. */
-  def drawsOf(sampled: DataFrame, k: Int): Vector[StratumDraws] = {
-    val rows = sampled.select("stratum", "positive", "stat").collect()
-    Vector.tabulate(k) { s =>
-      val mine = rows.filter(_.getInt(0) == s + 1)
-      StratumDraws(mine.map(_.getBoolean(1)), mine.map(_.getDouble(2)))
-    }
-  }
-
   /** Run Algorithm 1 through Spark. `df` must have columns
-    * `(id, proxy, positive, stat)`.
+    * `(id, proxy, positive, stat)`. A served positive row whose `stat` is
+    * not finite is rejected, naming its `id`.
     */
   def run(df: DataFrame, budget: Int, params: AbaeParams, seed: Long): SparkResult = {
     val k = params.k
-    require(budget >= 2 * k, s"budget $budget too small for $k strata")
-    val ranked = permutationRanks(stratify(df, k), seed)
+    // No stratum is asked for more than `budget` draws (n1 + n2 ≤ budget),
+    // so a stratum's first `budget` ranks are all the sampler can reach.
+    val candidateDf = permutationRanks(stratify(df, k), seed)
+      .filter(col("rk") <= budget)
       .select("id", "stratum", "rk", "positive", "stat")
-      .cache()
-    try {
-      val n1 = Abae.stage1PerStratum(budget, params)
+    val byStratum = candidateDf.collect().groupBy(_.getInt(1))
+    val candidates = Vector.tabulate(k)(s => byStratum.getOrElse(s + 1, Array.empty[Row]).sortBy(_.getInt(2)))
 
-      val stage1 = ranked.filter(col("rk") <= n1)
-      val stage1Est = toEstimates(stratumAgg(stage1).collect(), k)
-
-      val n2 = budget - stage1Est.map(_.draws).sum
-      val tHat = Estimators.allocationFromPilot(stage1Est)
-
-      // Per-stratum final cutoff rank: n1 + ⌊N2·T̂_k⌋, as a CASE column.
-      val m = Estimators.stage2Sizes(n2, tHat)
-      val cutoff = (1 to k).foldLeft(lit(0)) { (acc, s) =>
-        when(col("stratum") === s, lit(n1 + m(s - 1))).otherwise(acc)
-      }
-      val sampled = ranked.filter(col("rk") <= cutoff)
-      val finalCut = if (params.reuse) sampled else sampled.filter(col("rk") > n1)
-
-      val finalAgg = stratumAgg(finalCut)
-      val finalEst = toEstimates(finalAgg.collect(), k)
-      // Sampled rows: the final cut, plus Stage 1 when it is not reused.
-      val calls = (if (params.reuse) finalEst else finalEst ++ stage1Est).map(_.draws.toLong).sum
-
-      SparkResult(Estimators.combine(finalEst), finalEst, stage1Est, tHat, calls, finalAgg, sampled)
-    } finally ranked.unpersist()
+    val served = new java.util.ArrayList[Row]()
+    def oracle(s: Int, i: Int): (Boolean, Double) = {
+      val row = candidates(s)(i)
+      val (positive, stat) = (row.getBoolean(3), row.getDouble(4))
+      require(!positive || java.lang.Double.isFinite(stat),
+        s"stat has a non-finite value ($stat) at id ${row.get(0)}, a positive row")
+      served.add(row)
+      (positive, stat)
+    }
+    // Each stratum's population, as far as Algorithm 1 can see it.
+    val sizes = candidates.map(_.length)
+    val result = Abae.run(sizes, oracle _, sizes.map(new PrefixSampler(_)), budget, params)
+    SparkResult(result, df.sparkSession.createDataFrame(served, candidateDf.schema))
   }
 }

@@ -12,6 +12,9 @@ import org.apache.spark.sql.functions.col
   * Spark generates and stratifies the data; the trial loops run here.
   * Algorithms must not read `positive`/`stat` directly — they go through
   * a [[CountingOracle]] so every label observation is charged.
+  *
+  * Construction rejects columns of different lengths, a non-finite proxy
+  * value and a non-finite statistic on a positive record.
   */
 final case class LocalRecords(
     proxy: Array[Double],
@@ -20,6 +23,11 @@ final case class LocalRecords(
 ) {
   require(proxy.length == positive.length && proxy.length == stat.length,
     "column length mismatch")
+  for (i <- proxy.indices) {
+    require(java.lang.Double.isFinite(proxy(i)), s"proxy has a non-finite value (${proxy(i)}) at record $i")
+    require(!positive(i) || java.lang.Double.isFinite(stat(i)),
+      s"stat has a non-finite value (${stat(i)}) at record $i, a positive record")
+  }
 
   def n: Int = proxy.length
 

@@ -1,13 +1,15 @@
 package repro.core
 
+import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{Datasets, StratifiedLocal, StratumRecords}
 import repro.sampling.PrefixSampler
 
-/** Spark-engine tests: Catalyst stratification/sampling/aggregation, the
-  * DuckDB equivalence checks for every aggregation the engine performs,
-  * and exact agreement with the local engine on identical draws.
+/** Spark-engine tests: Catalyst stratification and permutation ranks, the
+  * DuckDB equivalence checks of the stratification and of the estimates
+  * over the sampled rows, and exact agreement with the local engine on
+  * identical draws.
   */
 class AbaeSparkSpec extends SparkSpec {
 
@@ -66,36 +68,56 @@ class AbaeSparkSpec extends SparkSpec {
 
   // -------------------------------------------------- DuckDB equivalence
 
-  test("stratumAgg matches DuckDB on the full stratified dataset") {
-    val stratified = AbaeSpark.stratify(df, 4).select("stratum", "positive", "stat")
-    val agg = AbaeSpark.stratumAgg(stratified)
+  test("stratify matches DuckDB's NTILE over (proxy, id)") {
     Oracle.assertEquivalent(
-      agg,
-      """SELECT CAST(stratum AS INT) AS stratum,
-        |       COUNT(*) AS draws,
-        |       SUM(CASE WHEN positive = 'true' THEN 1 ELSE 0 END) AS npos,
-        |       CAST(SUM(CASE WHEN positive = 'true' THEN 1 ELSE 0 END) AS DOUBLE)
-        |         / COUNT(*) AS p,
-        |       COALESCE(AVG(CASE WHEN positive = 'true' THEN CAST(stat AS DOUBLE) END), 0.0) AS mu,
-        |       COALESCE(STDDEV_SAMP(CASE WHEN positive = 'true' THEN CAST(stat AS DOUBLE) END), 0.0) AS sigma
-        |FROM s GROUP BY stratum""".stripMargin,
-      "s" -> stratified)
+      AbaeSpark.stratify(df, 5).select("id", "stratum"),
+      """SELECT CAST(id AS BIGINT) AS id,
+        |       NTILE(5) OVER (ORDER BY CAST(proxy AS DOUBLE), CAST(id AS BIGINT)) AS stratum
+        |FROM d""".stripMargin,
+      "d" -> df.select("id", "proxy"))
   }
 
-  test("stratumAgg of a sampled prefix matches DuckDB") {
-    val ranked = AbaeSpark.permutationRanks(AbaeSpark.stratify(df, 5), seed = 3)
-    val sampled = ranked.filter(col("rk") <= 50).select("stratum", "positive", "stat")
-    Oracle.assertEquivalent(
-      AbaeSpark.stratumAgg(sampled),
-      """SELECT CAST(stratum AS INT) AS stratum,
-        |       COUNT(*) AS draws,
-        |       SUM(CASE WHEN positive = 'true' THEN 1 ELSE 0 END) AS npos,
-        |       CAST(SUM(CASE WHEN positive = 'true' THEN 1 ELSE 0 END) AS DOUBLE)
-        |         / COUNT(*) AS p,
-        |       COALESCE(AVG(CASE WHEN positive = 'true' THEN CAST(stat AS DOUBLE) END), 0.0) AS mu,
-        |       COALESCE(STDDEV_SAMP(CASE WHEN positive = 'true' THEN CAST(stat AS DOUBLE) END), 0.0) AS sigma
-        |FROM s GROUP BY stratum""".stripMargin,
-      "s" -> sampled)
+  /** DuckDB's per-stratum plug-in estimates over table `s`'s rows that
+    * satisfy `where`, in `StratumEstimates`' terms.
+    */
+  private def perStratumSql(where: String = "TRUE"): String =
+    s"""SELECT CAST(stratum AS INT) AS stratum,
+       |       COUNT(*) AS draws,
+       |       SUM(CASE WHEN positive = 'true' THEN 1 ELSE 0 END) AS npos,
+       |       CAST(SUM(CASE WHEN positive = 'true' THEN 1 ELSE 0 END) AS DOUBLE)
+       |         / COUNT(*) AS p,
+       |       COALESCE(AVG(CASE WHEN positive = 'true' THEN CAST(stat AS DOUBLE) END), 0.0) AS mu,
+       |       COALESCE(STDDEV_SAMP(CASE WHEN positive = 'true' THEN CAST(stat AS DOUBLE) END), 0.0) AS sigma
+       |FROM s WHERE $where GROUP BY stratum""".stripMargin
+
+  /** Strata 1..K's estimates as rows; strata without draws, which a SQL
+    * `GROUP BY` cannot produce, are left out.
+    */
+  private def estimatesDf(est: Seq[StratumEstimates]) = spark.createDataFrame(
+    est.zipWithIndex.collect { case (e, s) if e.draws > 0 =>
+      (s + 1, e.draws, e.positives, e.pHat, e.muHat, e.sigmaHat)
+    }).toDF("stratum", "draws", "npos", "p", "mu", "sigma")
+
+  test("fromDraws matches DuckDB on the full stratified dataset") {
+    val stratified = AbaeSpark.stratify(df, 4).select("stratum", "positive", "stat")
+    val rows = stratified.collect()
+    val est = (1 to 4).map { s =>
+      val mine = rows.filter(_.getInt(0) == s)
+      Estimators.fromDraws(StratumDraws(mine.map(_.getBoolean(1)), mine.map(_.getDouble(2))))
+    }
+    Oracle.assertEquivalent(estimatesDf(est), perStratumSql(), "s" -> stratified)
+  }
+
+  test("run's stage-1 and final estimates match DuckDB") {
+    for (reuse <- Seq(true, false)) {
+      val params = AbaeParams(k = 5, reuse = reuse)
+      val res = AbaeSpark.run(df, budget = 1000, params, seed = 3)
+      val n1 = Abae.stage1PerStratum(1000, params)
+      val sampled = res.sampled.select("stratum", "rk", "positive", "stat")
+      Oracle.assertEquivalent(estimatesDf(res.stage1), perStratumSql(s"CAST(rk AS INT) <= $n1"), "s" -> sampled)
+      Oracle.assertEquivalent(estimatesDf(res.perStratum),
+        perStratumSql(if (reuse) "TRUE" else s"CAST(rk AS INT) > $n1"), "s" -> sampled)
+    }
   }
 
   test("ground-truth query matches DuckDB (AVG over the predicate)") {
@@ -108,11 +130,8 @@ class AbaeSparkSpec extends SparkSpec {
 
   test("the combined estimate formula matches DuckDB's weighted aggregation") {
     val res = AbaeSpark.run(df, budget = 2000, AbaeParams(k = 5), seed = 5)
-    val sampled = res.sampled.select("stratum", "positive", "stat")
-    val estDf = AbaeSpark.stratumAgg(sampled)
-      .agg((sum(col("p") * col("mu")) / sum(col("p"))).as("estimate"))
     Oracle.assertEquivalent(
-      estDf,
+      spark.createDataFrame(Seq(Tuple1(res.estimate))).toDF("estimate"),
       """WITH per AS (
         |  SELECT stratum,
         |         CAST(SUM(CASE WHEN positive = 'true' THEN 1 ELSE 0 END) AS DOUBLE)
@@ -120,8 +139,7 @@ class AbaeSparkSpec extends SparkSpec {
         |         COALESCE(AVG(CASE WHEN positive = 'true' THEN CAST(stat AS DOUBLE) END), 0.0) AS mu
         |  FROM s GROUP BY stratum)
         |SELECT SUM(p * mu) / SUM(p) AS estimate FROM per""".stripMargin,
-      "s" -> sampled)
-    assert(math.abs(estDf.collect()(0).getDouble(0) - res.estimate) < 1e-9)
+      "s" -> res.sampled.select("stratum", "positive", "stat"))
   }
 
   // ------------------------------------------------------------------ run
@@ -159,34 +177,47 @@ class AbaeSparkSpec extends SparkSpec {
     }
   }
 
-  test("Spark engine and local engine agree exactly on identical draws") {
-    val params = AbaeParams(k = 5)
-    val seed = 17L
-    val sparkRes = AbaeSpark.run(df, budget = 1500, params, seed)
-
-    // Rebuild the exact per-stratum permutation order locally and replay
-    // the algorithm with prefix samplers.
-    val ranked = AbaeSpark.permutationRanks(AbaeSpark.stratify(df, 5), seed)
-      .select("stratum", "rk", "positive", "stat")
-      .orderBy("stratum", "rk")
-      .collect()
-    val strata = Vector.tabulate(5) { s =>
-      val rows = ranked.filter(_.getInt(0) == s + 1)
-      StratumRecords(rows.map(_.getBoolean(2)), rows.map(_.getDouble(3)))
+  test("run rejects a served positive row with a non-finite statistic, naming its id") {
+    // 20 rows, K = 2 and budget 40: Stage 1 serves every row.
+    def tiny(positive: Column, v: Double) = spark.range(20).select(col("id"), (col("id") / 20.0).as("proxy"),
+      positive.as("positive"), when(col("id") === 7, lit(v)).otherwise(lit(1.0)).as("stat"))
+    for (v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](
+        AbaeSpark.run(tiny(col("id") % 2 === 1, v), budget = 40, AbaeParams(k = 2), seed = 1))
+      assert(e.getMessage.contains(s"stat has a non-finite value ($v) at id 7, a positive row"), e.getMessage)
     }
-    val stratified = StratifiedLocal(strata)
-    val samplers = stratified.strata.map(st => new PrefixSampler(st.n))
-    val localRes = Abae.run(
-      stratified.sizes,
-      (k, i) => (stratified.strata(k).positive(i), stratified.strata(k).stat(i)),
-      samplers, budget = 1500, params)
+    assert(AbaeSpark.run(tiny(col("id") % 2 === 0, Double.NaN), budget = 40, AbaeParams(k = 2), seed = 1).estimate == 1.0)
+  }
 
-    assert(math.abs(localRes.estimate - sparkRes.estimate) < 1e-9,
-      s"local=${localRes.estimate} spark=${sparkRes.estimate}")
-    assert(localRes.oracleCalls == sparkRes.oracleCalls)
-    localRes.perStratum.zip(sparkRes.perStratum).foreach { case (l, s) =>
-      assert(l.draws == s.draws && l.positives == s.positives)
-      assert(math.abs(l.muHat - s.muHat) < 1e-9)
+  test("Spark engine and local engine agree exactly on identical draws") {
+    val k = 5
+    for (seed <- Seq(17L, 18L, 19L)) {
+      // Rebuild the exact per-stratum permutation order locally and replay
+      // the algorithm with prefix samplers over whole strata.
+      val ranked = AbaeSpark.permutationRanks(AbaeSpark.stratify(df, k), seed)
+        .select("stratum", "rk", "positive", "stat")
+        .orderBy("stratum", "rk")
+        .collect()
+      val stratified = StratifiedLocal(Vector.tabulate(k) { s =>
+        val rows = ranked.filter(_.getInt(0) == s + 1)
+        StratumRecords(rows.map(_.getBoolean(2)), rows.map(_.getDouble(3)))
+      })
+      // 2K is the smallest budget; 8000 exceeds every stratum's size, so
+      // the Spark engine's candidates are whole strata.
+      assert(stratified.sizes.max < 8000 && 8000 < n)
+      for (budget <- Seq(2 * k, 1500, 8000); reuse <- Seq(true, false)) {
+        val params = AbaeParams(k = k, reuse = reuse)
+        val sparkRes = AbaeSpark.run(df, budget, params, seed)
+        val localRes = Abae.run(
+          stratified.sizes,
+          (s, i) => (stratified.strata(s).positive(i), stratified.strata(s).stat(i)),
+          stratified.sizes.map(new PrefixSampler(_)), budget, params)
+        val at = s"seed=$seed budget=$budget reuse=$reuse"
+        assert(sparkRes.estimate == localRes.estimate, at)
+        assert(sparkRes.perStratum == localRes.perStratum, at)
+        assert(sparkRes.allocation.toSeq == localRes.allocation.toSeq, at)
+        assert(sparkRes.oracleCalls == localRes.oracleCalls, at)
+      }
     }
   }
 }

@@ -41,7 +41,7 @@ class QueryEndToEndSpec extends SparkSpec {
     val (_, df) = truthOf(Datasets.celeba, 0.1)
     try {
       val res = AbaeSpark.run(df, budget = 2000, AbaeParams(k = 5), seed = 11)
-      val ci = Bootstrap.ci(AbaeSpark.drawsOf(res.sampled, 5), beta = 400, alpha = 0.05, Rng.stream(12, 0))
+      val ci = Bootstrap.ci(res.draws, beta = 400, alpha = 0.05, Rng.stream(12, 0))
       assert(ci.contains(res.estimate), s"ci=$ci est=${res.estimate}")
       assert(ci.width > 0 && ci.width < 0.2, s"width=${ci.width}")
     } finally df.unpersist()

@@ -42,6 +42,21 @@ class LocalSpec extends AnyFunSuite {
     }
   }
 
+  test("LocalRecords rejects a non-finite proxy value, naming the record") {
+    for (v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](LocalRecords(Array(0.1, v), Array(true, false), Array(1.0, 2.0)))
+      assert(e.getMessage.contains(s"proxy has a non-finite value ($v) at record 1"), e.getMessage)
+    }
+  }
+
+  test("LocalRecords rejects a non-finite statistic on a positive record, not on a negative one") {
+    for (v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](LocalRecords(Array(0.1, 0.2), Array(false, true), Array(1.0, v)))
+      assert(e.getMessage.contains(s"stat has a non-finite value ($v) at record 1, a positive record"), e.getMessage)
+    }
+    assert(LocalRecords(Array(0.1, 0.2), Array(true, false), Array(1.0, Double.NaN)).truth == 1.0)
+  }
+
   // -------------------------------------------------------------- ntile math
 
   test("ntileSizes matches SQL NTILE semantics") {
