@@ -28,7 +28,7 @@ final case class AbaeParams(
   * @param allocation  T̂_k (Stage-2 share per stratum)
   * @param draws       every draw per stratum across both stages — the
   *                    `R^(2)` handed to the bootstrap
-  * @param oracleCalls total oracle invocations charged
+  * @param oracleCalls total oracle calls charged
   */
 final case class AbaeResult(
     estimate: Double,
@@ -41,11 +41,14 @@ final case class AbaeResult(
 
 /** Algorithm 1 — ABAE's two-stage stratified sampler (local engine).
   *
-  * The engine is data-agnostic: it sees only stratum sizes, a counting
-  * oracle `(stratum, index) → (matches, statistic)`, and one
-  * without-replacement [[StratumSampler]] per stratum. The samplers are
-  * stateful permutations, so Stage 2 extends Stage 1's sample exactly as
-  * in the pseudocode (`R_k^(2) ← R_k^(1) + SampleFn(S_k, ⌊N_2·T̂_k⌋)`).
+  * The engine is data-agnostic: it sees only an oracle
+  * `(stratum, index) → (matches, statistic)` and one without-replacement
+  * [[StratumSampler]] per stratum, which carries its stratum's population.
+  * The samplers are stateful permutations, so Stage 2 extends Stage 1's
+  * sample exactly as in the pseudocode
+  * (`R_k^(2) ← R_k^(1) + SampleFn(S_k, ⌊N_2·T̂_k⌋)`). The lower-level
+  * `run` reads its `sizes` argument only to check that there are K of
+  * them; the argument stays because perfbench calls that overload.
   */
 object Abae {
 

@@ -1,36 +1,8 @@
 package repro.core
 
-import repro.data.GroupedRecords
+import repro.data.{GroupedRecords, Oracle}
 import repro.sampling.{PermutationSampler, Rng}
 import scala.collection.mutable.ArrayBuffer
-
-/** Oracle that maps a record directly to its group key (§3.2, scenario 1:
-  * "a single oracle determines the group key directly"). Each invocation
-  * costs 1; callers keep the labels they need again.
-  */
-final class SingleGroupOracle(data: GroupedRecords) {
-  private var invocations: Long = 0L
-  def calls: Long = invocations
-
-  /** Returns (group key in 0..G-1 or -1, statistic). */
-  def query(i: Int): (Int, Double) = {
-    invocations += 1
-    (data.group(i), data.stat(i))
-  }
-}
-
-/** One oracle per group (§3.2, scenario 2): `query(g, i)` only reveals
-  * whether record `i` belongs to group `g`. Each invocation costs 1.
-  */
-final class PerGroupOracle(data: GroupedRecords) {
-  private var invocations: Long = 0L
-  def calls: Long = invocations
-
-  def query(g: Int, i: Int): (Boolean, Double) = {
-    invocations += 1
-    (data.group(i) == g, data.stat(i))
-  }
-}
 
 /** ABAE-GroupBy (§3.2, §4.5): minimax-error sample allocation across the
   * per-group stratifications (Eqs. 10 and 11), solved exactly by
@@ -45,7 +17,7 @@ object GroupBy {
 
   /** @param estimates   μ̂_g per group
     * @param lambdas     Stage-2 share Λ_l per stratification
-    * @param oracleCalls total oracle invocations charged
+    * @param oracleCalls total oracle calls charged
     */
   final case class GroupByResult(
       estimates: Vector[Double],
@@ -54,6 +26,18 @@ object GroupBy {
   )
 
   private val VarFloor = 1e-12
+
+  /** §3.2, scenario 1: one oracle labels a record's group key directly,
+    * revealing (group key in 0..G-1 or -1, statistic).
+    */
+  private[core] def keyOracle(data: GroupedRecords): Oracle[(Int, Double)] =
+    new Oracle(i => (data.group(i), data.stat(i)))
+
+  /** §3.2, scenario 2: oracle g only reveals whether a record belongs to
+    * group g (and its statistic). The charge is the sum of their calls.
+    */
+  private[core] def memberOracles(data: GroupedRecords): Vector[Oracle[(Boolean, Double)]] =
+    Vector.tabulate(data.g)(g => new Oracle(i => (data.group(i) == g, data.stat(i))))
 
   /** Λ-free part of the estimated MSE of group g's estimator from
     * stratification l (the inner sum of Eqs. 10–11):
@@ -208,7 +192,7 @@ object GroupBy {
     require(budget >= 2 * g * k, s"budget $budget too small for $g groups × $k strata")
 
     val strata = data.strata(k)
-    val oracle = new SingleGroupOracle(data)
+    val oracle = keyOracle(data)
     val rng = Rng.stream(seed, 0)
 
     // Every labeled record and its (group key, statistic), in draw order.
@@ -305,12 +289,12 @@ object GroupBy {
     require(budget >= 2 * g * k, s"budget $budget too small for $g groups × $k strata")
 
     val strata = data.strata(k)
-    val oracle = new PerGroupOracle(data)
+    val oracles = memberOracles(data)
     val samplers = Vector.tabulate(g, k)((l, s) =>
       new PermutationSampler(strata(l).size(s), Rng.stream(seed, l.toLong * k + s + 1)))
 
     def draw(l: Int, s: Int, m: Int): StratumDraws =
-      StratumDraws.label(samplers(l)(s).next(m), j => oracle.query(l, strata(l).record(s, j)))
+      StratumDraws.label(samplers(l)(s).next(m), j => oracles(l).query(strata(l).record(s, j)))
 
     // Stage 1: N1/(G·K) per cell, each group charged to its own oracle.
     val n1cell = math.max(1, (budget * params.stage1Frac).toInt / (g * k))
@@ -319,14 +303,14 @@ object GroupBy {
     val tHat = est1.map(e => Estimators.allocationFromPilot(e))
     val base = Array.tabulate(g)(l => baseVariance(est1(l), tHat(l)))
 
-    val n2 = (budget - oracle.calls).toInt
+    val n2 = (budget - oracles.map(_.calls).sum).toInt
     // Eq. 11: group l's modeled error is baseVar(l) / (Λ_l · N2).
     val lambdas = minimaxShares(Vector.tabulate(g)(l => ErrorCurve(Array(base(l)), 0.0, Array(n2.toDouble))))
 
     // Stage 2 extends each cell's permutation — exact sample reuse.
     val budgets = Estimators.stage2Sizes(n2, lambdas)
     val estimates = Vector.tabulate(g)(l => Abae.finish(stage1(l), budgets(l), draw(l, _, _)).estimate)
-    GroupByResult(estimates, lambdas, oracle.calls)
+    GroupByResult(estimates, lambdas, oracles.map(_.calls).sum)
   }
 
   // ------------------------------------------------------- uniform baselines
@@ -335,7 +319,7 @@ object GroupBy {
     * reveals the group key; per-group mean over members.
     */
   def uniformSingleOracle(data: GroupedRecords, budget: Int, seed: Long): GroupByResult = {
-    val oracle = new SingleGroupOracle(data)
+    val oracle = keyOracle(data)
     val idx = new PermutationSampler(data.n, Rng.stream(seed, 7)).next(budget)
     val sums = new Array[Double](data.g)
     val counts = new Array[Int](data.g)
@@ -353,11 +337,11 @@ object GroupBy {
     * share is a uniform sample labeled only by oracle g.
     */
   def uniformMultiOracle(data: GroupedRecords, budget: Int, seed: Long): GroupByResult = {
-    val oracle = new PerGroupOracle(data)
+    val oracles = memberOracles(data)
     val per = budget / data.g
     val estimates = Vector.tabulate(data.g) { l =>
-      UniformSampling.run(data.n, oracle.query(l, _), per, Rng.stream(seed, 100 + l)).estimate
+      UniformSampling.run(data.n, oracles(l).query, per, Rng.stream(seed, 100 + l)).estimate
     }
-    GroupByResult(estimates, Array.fill(data.g)(1.0 / data.g), oracle.calls)
+    GroupByResult(estimates, Array.fill(data.g)(1.0 / data.g), oracles.map(_.calls).sum)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.data.Stratification
+import repro.data.{Oracle, Stratification}
 import repro.ml.LogisticRegression
 import repro.sampling.{PermutationSampler, Rng}
 
@@ -80,14 +80,13 @@ object ProxyCombiner {
       require(col.length == n, s"proxy $j has ${col.length} values for $n records")
     }
     val rng = Rng.stream(seed, 13)
-    var calls = 0L
-    def oracle(i: Int): (Boolean, Double) = { calls += 1; (positive(i), stat(i)) }
+    val oracle = new Oracle(i => (positive(i), stat(i)))
 
     // Stage 1: uniform pilot, labels both train the combiner and seed the
     // per-stratum estimates.
     val n1 = math.max(k * 2, (budget * params.stage1Frac).toInt)
     val pilotIdx = new PermutationSampler(n, rng).next(n1)
-    val pilot = StratumDraws.label(pilotIdx, oracle)
+    val pilot = StratumDraws.label(pilotIdx, oracle.query)
 
     val (scores, model) = combineScores(proxies, pilotIdx, pilot.flags)
 
@@ -99,9 +98,9 @@ object ProxyCombiner {
     pilotIdx.foreach(drawn(_) = true)
     def draw(s: Int, m: Int): StratumDraws = {
       val pool = strat.indices(s).filterNot(drawn(_))
-      StratumDraws.label(new PermutationSampler(pool.length, rng).next(m).map(pool(_)), oracle)
+      StratumDraws.label(new PermutationSampler(pool.length, rng).next(m).map(pool(_)), oracle.query)
     }
     val res = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot), budget - n1, draw)
-    CombinedResult(res.estimate, calls, model)
+    CombinedResult(res.estimate, oracle.calls, model)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.data.{FlatOracle, LocalRecords}
+import repro.data.{LocalRecords, Oracle}
 import repro.sampling.{PermutationSampler, Rng}
 import scala.util.Random
 
@@ -14,7 +14,7 @@ object UniformSampling {
   final case class Result(estimate: Double, draws: StratumDraws, oracleCalls: Long)
 
   def run(records: LocalRecords, budget: Int, seed: Long): Result = {
-    val oracle = new FlatOracle(records)
+    val oracle = new Oracle(i => (records.positive(i), records.stat(i)))
     run(records.n, oracle.query, budget, Rng.stream(seed, Long.MaxValue / 3))
   }
 

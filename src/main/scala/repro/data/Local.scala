@@ -8,10 +8,10 @@ import org.apache.spark.sql.functions.col
   *
   * The paper's evaluation (like the authors' released code) runs its
   * Monte-Carlo trial loops over precomputed (proxy, oracle, statistic)
-  * triples — the modeled cost is *oracle invocations*, not dataflow.
+  * triples — the modeled cost is *oracle calls*, not dataflow.
   * Spark generates and stratifies the data; the trial loops run here.
   * Algorithms must not read `positive`/`stat` directly — they go through
-  * a [[CountingOracle]] so every label observation is charged.
+  * an [[Oracle]] so every label observation is charged.
   *
   * Construction rejects columns of different lengths, a non-finite proxy
   * value and a non-finite statistic on a positive record.
@@ -216,31 +216,31 @@ object Stratification {
   }
 }
 
-/** Flat (unstratified) counting oracle over the whole record array —
-  * what the uniform-sampling baseline queries.
+/** The metered oracle, the program's only count of the paper's cost unit:
+  * each `query(i)` charges one call, repeats included, and returns
+  * `reveal(i)`. A predicate reveals `(matches, statistic)`; a group key
+  * reveals `(group key in 0..G-1 or -1, statistic)`. There is no label
+  * cache: callers keep the labels they need again.
   */
-final class FlatOracle(records: LocalRecords) {
+class Oracle[L](reveal: Int => L) {
   private var invocations: Long = 0L
   def calls: Long = invocations
-  def query(i: Int): (Boolean, Double) = {
-    invocations += 1
-    (records.positive(i), records.stat(i))
-  }
+  def query(i: Int): L = { invocations += 1; reveal(i) }
 }
 
-/** Oracle access with an invocation counter — the unit of cost in every
-  * experiment is `calls`. Benches assert `calls <= budget`.
+/** [[Oracle]] over the whole record array, revealing (matches, statistic).
+  * An adapter that counts nothing itself, kept because perfbench builds it.
+  */
+final class FlatOracle(records: LocalRecords)
+    extends Oracle[(Boolean, Double)](i => (records.positive(i), records.stat(i)))
+
+/** One [[Oracle]] per stratum: `query(k, i)` evaluates the predicate (and
+  * reveals the statistic) for record `i` of stratum `k`, and `calls` is
+  * their sum. An adapter that counts nothing itself, kept because perfbench
+  * builds it and passes it to `Abae.run(data, oracle, …)`.
   */
 final class CountingOracle(data: StratifiedLocal) {
-  private var invocations: Long = 0L
-  def calls: Long = invocations
-
-  /** Evaluate the expensive predicate (and reveal the statistic) for
-    * record `i` of stratum `k`.
-    */
-  def query(k: Int, i: Int): (Boolean, Double) = {
-    invocations += 1
-    val s = data.strata(k)
-    (s.positive(i), s.stat(i))
-  }
+  private val strata = data.strata.map(s => new Oracle(i => (s.positive(i), s.stat(i))))
+  def calls: Long = strata.map(_.calls).sum
+  def query(k: Int, i: Int): (Boolean, Double) = strata(k).query(i)
 }

@@ -10,7 +10,7 @@ import repro.metrics.Metrics
   * Spark generates and stratifies each dataset once (memoized per JVM);
   * the Monte-Carlo trial loops then run through the local engine — the
   * same algorithm as the Spark engine (tested identical), with the cost
-  * unit (oracle invocations) charged by [[repro.data.CountingOracle]].
+  * unit (oracle calls) charged by [[repro.data.Oracle]].
   *
   * Knobs (environment): `ABAE_BENCH_TRIALS` scales every trial count,
   * `ABAE_BENCH_SF` scales dataset sizes (1.0 = paper sizes).

@@ -36,17 +36,17 @@ class GroupBySpec extends SparkSpec {
   // ----------------------------------------------------------------- oracles
 
   test("SingleGroupOracle charges every invocation") {
-    val o = new SingleGroupOracle(data)
+    val o = keyOracle(data)
     o.query(0); o.query(0); o.query(1)
     assert(o.calls == 3)
-    assert(o.query(0)._1 == data.group(0))
+    assert(o.query(0) == ((data.group(0), data.stat(0))))
   }
 
   test("PerGroupOracle charges every invocation") {
-    val o = new PerGroupOracle(data)
-    o.query(0, 5); o.query(1, 5); o.query(0, 5)
-    assert(o.calls == 3)
-    assert(o.query(0, 5)._1 == (data.group(5) == 0))
+    val os = memberOracles(data)
+    os(0).query(5); os(1).query(5); os(0).query(5)
+    assert(os.map(_.calls) == Vector(2, 1, 0))
+    assert(os(0).query(5) == ((data.group(5) == 0, data.stat(5))))
   }
 
   // ------------------------------------------------------------ variance math

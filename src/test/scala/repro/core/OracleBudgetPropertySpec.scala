@@ -3,7 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.{CountingOracle, GroupedRecords, LocalRecords, StratifiedLocal}
+import repro.data.{CountingOracle, FlatOracle, GroupedRecords, LocalRecords, StratifiedLocal}
 import scala.util.Random
 
 /** Property: no kernel charges more oracle calls than its budget, over
@@ -71,6 +71,22 @@ class OracleBudgetPropertySpec extends AnyFunSuite {
       val params = GroupBy.GroupByParams(k = c.k, stage1Frac = c.c)
       GroupBy.runSingleOracle(c.grouped, c.budget, params, c.seed).oracleCalls <= c.budget &&
         GroupBy.runMultiOracle(c.grouped, c.budget, params, c.seed).oracleCalls <= c.budget
+    }
+  }
+
+  test("UniformSampling.run charges at most the budget and reports exactly what its oracle counted") {
+    holds(cases((_, _) => 0)) { c =>
+      val rec = c.records
+      val flat = new FlatOracle(rec)
+      val r = UniformSampling.run(rec.n, flat.query, c.budget, new Random(c.seed))
+      r.oracleCalls == flat.calls && r.oracleCalls == r.draws.n && flat.calls <= c.budget
+    }
+  }
+
+  test("GroupBy.uniformSingleOracle and uniformMultiOracle charge at most the budget") {
+    holds(cases((_, _) => 0)) { c =>
+      GroupBy.uniformSingleOracle(c.grouped, c.budget, c.seed).oracleCalls <= c.budget &&
+        GroupBy.uniformMultiOracle(c.grouped, c.budget, c.seed).oracleCalls <= c.budget
     }
   }
 }
