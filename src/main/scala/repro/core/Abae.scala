@@ -47,8 +47,9 @@ final case class AbaeResult(
   * The samplers are stateful permutations, so Stage 2 extends Stage 1's
   * sample exactly as in the pseudocode
   * (`R_k^(2) ← R_k^(1) + SampleFn(S_k, ⌊N_2·T̂_k⌋)`). The lower-level
-  * `run` reads its `sizes` argument only to check that there are K of
-  * them; the argument stays because perfbench calls that overload.
+  * `run` takes the true stratum sizes |S_k| but reads them only to check
+  * that there are K of them: a sampler may reach fewer records (the Spark
+  * engine's reach a stratum's first `budget` ranks).
   */
 object Abae {
 

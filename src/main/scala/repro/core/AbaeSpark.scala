@@ -1,27 +1,34 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuilder
 import scala.language.implicitConversions
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.expressions.XXH64
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.StructType
+import repro.data.Stratification
 import repro.sampling.PrefixSampler
 
 /** ABAE's Spark engine over a dataset with columns
-  * `(id, proxy, positive, stat)`: Catalyst stratifies and ranks, and the
-  * local [[Abae.run]] runs Algorithm 1 on the result.
+  * `(id, proxy, positive, stat)`: one Spark job scans the columns to the
+  * driver, and the local engine's [[Stratification]] and [[Abae.run]] do
+  * the rest.
   *
-  * Pipeline: stratify by proxy quantile (`ntile`) → attach a seeded
-  * per-stratum random permutation rank (`row_number` over `xxhash64`) →
-  * collect each stratum's first `budget` rows in rank order, the only rows
-  * Algorithm 1 can ask for → `Abae.run` with one [[PrefixSampler]] per
-  * stratum, so a rank prefix is the uniform without-replacement sample and
-  * Stage 2 extends Stage 1's prefix.
+  * Pipeline: scan the four columns into primitive arrays in id order →
+  * stratify by proxy quantile (`Stratification`, the split of
+  * `ntile(K) OVER (ORDER BY proxy, id)`) → rank each stratum by a seeded
+  * hash of `id`, the order of `xxhash64(id, seed)` with ties by `id`, and
+  * keep its first `budget` members, the only ones Algorithm 1 can ask for →
+  * `Abae.run` with one [[PrefixSampler]] per stratum, so a rank prefix is
+  * the uniform without-replacement sample and Stage 2 extends Stage 1's
+  * prefix.
   *
-  * Accounting: the collected rows carry their `positive`/`stat` columns,
-  * as the local engine's records do (the cost modeled is oracle calls, not
-  * dataflow), but the algorithm reads them only through an oracle that
-  * charges one call per row it serves. `sampled` holds exactly the served
-  * rows, so its row count equals `oracleCalls`.
+  * Accounting: the scanned columns include `positive`/`stat`, as the local
+  * engine's records do (the cost modeled is oracle calls, not dataflow),
+  * but the algorithm reads them only through an oracle that charges one
+  * call per row it serves. `sampled` holds exactly the served rows, so its
+  * row count equals `oracleCalls`. The driver holds about 25 bytes per row
+  * of `df` while a query runs.
   */
 object AbaeSpark {
 
@@ -35,48 +42,109 @@ object AbaeSpark {
     implicit def toAbaeResult(r: SparkResult): AbaeResult = r.result
   }
 
-  /** Add a `stratum` column (1..k): proxy-quantile stratification via
-    * `ntile(k) OVER (ORDER BY proxy, id)` — `ABAEInit` of Algorithm 1.
-    * The `id` tiebreak makes the split deterministic under proxy ties.
-    */
-  def stratify(df: DataFrame, k: Int): DataFrame =
-    df.withColumn("stratum", ntile(k).over(Window.orderBy("proxy", "id")))
-
-  /** Add `rk`: the row's position (1-based) in a seeded uniform random
-    * permutation of its stratum. A prefix of `rk` is a uniform
-    * without-replacement sample.
-    */
-  def permutationRanks(df: DataFrame, seed: Long): DataFrame =
-    df.withColumn("rk", row_number().over(
-      Window.partitionBy("stratum")
-        .orderBy(xxhash64(col("id"), lit(seed)), col("id"))))
+  private val SampledSchema = StructType.fromDDL("id BIGINT, stratum INT, rk INT, positive BOOLEAN, stat DOUBLE")
 
   /** Run Algorithm 1 through Spark. `df` must have columns
-    * `(id, proxy, positive, stat)`. A served positive row whose `stat` is
-    * not finite is rejected, naming its `id`.
+    * `(id, proxy, positive, stat)` with distinct ids and no nulls; a
+    * repeated id and a null fail the query, naming the id. A served
+    * positive row whose `stat` is not finite is rejected, naming its `id`.
     */
   def run(df: DataFrame, budget: Int, params: AbaeParams, seed: Long): SparkResult = {
-    val k = params.k
-    // No stratum is asked for more than `budget` draws (n1 + n2 ≤ budget),
-    // so a stratum's first `budget` ranks are all the sampler can reach.
-    val candidateDf = permutationRanks(stratify(df, k), seed)
-      .filter(col("rk") <= budget)
-      .select("id", "stratum", "rk", "positive", "stat")
-    val byStratum = candidateDf.collect().groupBy(_.getInt(1))
-    val candidates = Vector.tabulate(k)(s => byStratum.getOrElse(s + 1, Array.empty[Row]).sortBy(_.getInt(2)))
+    val t = Table(df)
+    val strat = Stratification(t.proxy, params.k)
+    val ranked = Vector.tabulate(params.k)(rankPrefix(t.id, strat, _, budget, seed))
 
     val served = new java.util.ArrayList[Row]()
     def oracle(s: Int, i: Int): (Boolean, Double) = {
-      val row = candidates(s)(i)
-      val (positive, stat) = (row.getBoolean(3), row.getDouble(4))
+      val r = ranked(s)(i)
+      val (positive, stat) = (t.positive(r), t.stat(r))
       require(!positive || java.lang.Double.isFinite(stat),
-        s"stat has a non-finite value ($stat) at id ${row.get(0)}, a positive row")
-      served.add(row)
+        s"stat has a non-finite value ($stat) at id ${t.id(r)}, a positive row")
+      served.add(Row(t.id(r), s + 1, i + 1, positive, stat))
       (positive, stat)
     }
-    // Each stratum's population, as far as Algorithm 1 can see it.
-    val sizes = candidates.map(_.length)
-    val result = Abae.run(sizes, oracle _, sizes.map(new PrefixSampler(_)), budget, params)
-    SparkResult(result, df.sparkSession.createDataFrame(served, candidateDf.schema))
+    val sizes = Vector.tabulate(params.k)(strat.size)
+    val result = Abae.run(sizes, oracle _, ranked.map(c => new PrefixSampler(c.length)), budget, params)
+    SparkResult(result, df.sparkSession.createDataFrame(served, SampledSchema))
+  }
+
+  /** Each stratum's first `budget` ids in rank order, as `run` sees them:
+    * stratum `s + 1`'s row of rank `j + 1` is `candidates(…)(s)(j)`.
+    */
+  private[core] def candidates(df: DataFrame, k: Int, budget: Int, seed: Long): Vector[Array[Long]] = {
+    val t = Table(df)
+    val strat = Stratification(t.proxy, k)
+    Vector.tabulate(k)(rankPrefix(t.id, strat, _, budget, seed).map(t.id))
+  }
+
+  /** The rank key of row `id`: bit for bit Spark's
+    * `xxhash64(col("id"), lit(seed))`, which hashes `id` under xxhash64's
+    * default seed 42 and then `seed` under that hash.
+    */
+  private[core] def rankHash(id: Long, seed: Long): Long = XXH64.hashLong(seed, XXH64.hashLong(id, 42))
+
+  /** Stratum `s`'s first min(`budget`, |S_s|) records in (`rankHash`, id)
+    * order, as indices into `id`, which is ascending.
+    */
+  private def rankPrefix(id: Array[Long], strat: Stratification, s: Int, budget: Int, seed: Long): Array[Int] = {
+    val size = strat.size(s)
+    val take = math.min(budget, size)
+    // The hashes are uniform over the longs, so about `want` members hash
+    // at or below `threshold`, and fewer than `take` almost never do. Every
+    // member above it ranks after every member below it, so the prefix is
+    // among those below; when they are too few, rank the whole stratum.
+    val want = take + 5 * math.sqrt(take) + 16
+    val threshold =
+      if (want >= size) Long.MaxValue
+      else (want / size * 18446744073709551616.0 - 9223372036854775808.0).toLong
+    val below = new ArrayBuilder.ofInt
+    var j = 0
+    while (j < size) {
+      val r = strat.record(s, j)
+      if (rankHash(id(r), seed) <= threshold) below += r
+      j += 1
+    }
+    val members = if (below.length >= take) below.result() else strat.indices(s)
+    // Index order is id order, and the radix sort is stable, so hash ties
+    // fall back to id.
+    java.util.Arrays.sort(members)
+    val order = Stratification.sortedOrder(members.map(r => rankHash(id(r), seed) ^ Long.MinValue))
+    Array.tabulate(take)(j => members(order(j)))
+  }
+
+  /** `df`'s `(id, proxy, positive, stat)` columns on the driver, sorted by
+    * `id`; rejects a repeated id and a null.
+    */
+  private final case class Table(id: Array[Long], proxy: Array[Double], positive: Array[Boolean], stat: Array[Double])
+
+  private object Table {
+    def apply(df: DataFrame): Table = {
+      val parts = df.select(col("id").cast("long"), col("proxy").cast("double"),
+          col("positive").cast("boolean"), col("stat").cast("double"))
+        .queryExecution.toRdd.mapPartitions { rows =>
+          val (id, proxy, positive, stat) =
+            (new ArrayBuilder.ofLong, new ArrayBuilder.ofDouble, new ArrayBuilder.ofBoolean, new ArrayBuilder.ofDouble)
+          rows.foreach { r =>
+            require(!r.anyNull, s"a null in (id, proxy, positive, stat) at id ${if (r.isNullAt(0)) "null" else r.getLong(0)}")
+            id += r.getLong(0); proxy += r.getDouble(1); positive += r.getBoolean(2); stat += r.getDouble(3)
+          }
+          Iterator.single(new Table(id.result(), proxy.result(), positive.result(), stat.result()))
+        }.collect()
+      val t = new Table(Array.concat(parts.map(_.id): _*), Array.concat(parts.map(_.proxy): _*),
+        Array.concat(parts.map(_.positive): _*), Array.concat(parts.map(_.stat): _*))
+      val n = t.id.length
+      var i = 1
+      while (i < n && t.id(i - 1) < t.id(i)) i += 1
+      if (i >= n) t
+      else {
+        // Not ascending: sort by id (signed, so flip the sign bit for the
+        // unsigned radix order), then look for a repeat.
+        val order = Stratification.sortedOrder(t.id.map(_ ^ Long.MinValue))
+        val sorted = new Table(order.map(t.id), order.map(t.proxy), order.map(t.positive), order.map(t.stat))
+        for (j <- 1 until n)
+          require(sorted.id(j - 1) != sorted.id(j), s"id ${sorted.id(j)} appears more than once")
+        sorted
+      }
+    }
   }
 }

@@ -133,9 +133,9 @@ object StratifiedLocal {
 /** The ntile split of record indices `0 until n` into K strata by proxy
   * score: `order` lists the records sorted by (proxy, index), and stratum
   * `s` is `order(offsets(s) until offsets(s + 1))`, sized by
-  * [[StratifiedLocal.ntileSizes]]. Proxies compare as
-  * `java.lang.Double.compare` does (−0.0 < 0.0, every NaN above +∞ and
-  * equal to every other NaN), ties by index.
+  * [[StratifiedLocal.ntileSizes]]. Proxies compare as Spark SQL orders
+  * doubles (−0.0 equal to 0.0, every NaN above +∞ and equal to every other
+  * NaN), ties by index.
   */
 final class Stratification private (order: Array[Int], offsets: Array[Int]) {
   def k: Int = offsets.length - 1
@@ -163,27 +163,31 @@ final class Stratification private (order: Array[Int], offsets: Array[Int]) {
 object Stratification {
   def apply(proxy: Array[Double], k: Int): Stratification = {
     val offsets = StratifiedLocal.ntileSizes(proxy.length, k).scanLeft(0)(_ + _)
-    new Stratification(sortedOrder(proxy), offsets)
+    val keys = new Array[Long](proxy.length)
+    var i = 0
+    while (i < keys.length) {
+      // Adding 0.0 folds −0.0 into 0.0; doubleToLongBits maps every NaN
+      // to one canonical value; flipping all bits of negatives and the sign
+      // bit of the rest orders the keys as unsigned longs.
+      val bits = java.lang.Double.doubleToLongBits(proxy(i) + 0.0)
+      keys(i) = bits ^ ((bits >> 63) | Long.MinValue)
+      i += 1
+    }
+    new Stratification(sortedOrder(keys), offsets)
   }
 
-  /** Indices of `proxy` sorted by (proxy, index): a stable LSD radix sort,
-    * one byte per pass, of keys whose unsigned order is
-    * `java.lang.Double.compare`'s. A pass whose byte is the same for every
-    * key is skipped.
+  /** Indices of `keys` sorted by (unsigned key, index): a stable LSD radix
+    * sort, one byte per pass. A pass whose byte is the same for every key
+    * is skipped. `keys` is used as scratch space.
     */
-  private def sortedOrder(proxy: Array[Double]): Array[Int] = {
-    val n = proxy.length
-    var keys = new Array[Long](n)
+  private[repro] def sortedOrder(keys0: Array[Long]): Array[Int] = {
+    val n = keys0.length
+    var keys = keys0
     var idx = Array.range(0, n)
     val counts = new Array[Int](8 * 256)
     var i = 0
     while (i < n) {
-      // doubleToLongBits maps every NaN to one canonical value; flipping
-      // all bits of negatives and the sign bit of the rest orders the
-      // keys as unsigned longs.
-      val bits = java.lang.Double.doubleToLongBits(proxy(i))
-      val key = bits ^ ((bits >> 63) | Long.MinValue)
-      keys(i) = key
+      val key = keys(i)
       var d = 0
       while (d < 8) { counts(d * 256 + ((key >>> (8 * d)) & 0xff).toInt) += 1; d += 1 }
       i += 1

@@ -50,8 +50,8 @@ final class PermutationSampler(val populationSize: Int, rng: Random) extends Str
 }
 
 /** Returns `0, 1, 2, …` — for populations that are *already* randomly
-  * permuted (e.g. rows ordered by a seeded Spark hash). Used to prove the
-  * local engine agrees with the Spark engine on identical draws.
+  * permuted: the Spark engine's strata, whose records it orders by a
+  * seeded hash of their ids.
   */
 final class PrefixSampler(val populationSize: Int) extends StratumSampler {
   private var pos = 0

@@ -103,10 +103,11 @@ class LocalSpec extends AnyFunSuite {
   }
 
   /** The (proxy, index) sort that ntile order is defined by, split into
-    * ntile sizes.
+    * ntile sizes. Proxies compare as Spark SQL orders doubles: −0.0 equals
+    * 0.0, and NaN sorts last.
     */
   private def referenceNtile(proxy: Array[Double], k: Int): Seq[Seq[Int]] = {
-    val order = Array.range(0, proxy.length).sortBy(i => (proxy(i), i))
+    val order = Array.range(0, proxy.length).sortBy(i => (if (proxy(i) == 0.0) 0.0 else proxy(i), i))
     val ends = StratifiedLocal.ntileSizes(proxy.length, k).scanLeft(0)(_ + _)
     (0 until k).map(s => order.slice(ends(s), ends(s + 1)).toSeq)
   }
