@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.sql.functions.{col, lit, when}
 import repro.SparkSpec
 
 class DatasetsSpec extends SparkSpec {
@@ -86,5 +87,32 @@ class DatasetsSpec extends SparkSpec {
     // a strong proxy should capture well over half that ceiling.
     assert(ps.last > 3.0 * local.positiveRate, s"p_k=$ps rate=${local.positiveRate}")
     assert(ps.head < 0.05, s"p_k=$ps")
+  }
+
+  test("fromDf reads rows in id order whatever the partitioning of its input") {
+    val df = Datasets.generate(spark, Datasets.celeba, sf = 0.02)
+    val a = LocalRecords.fromDf(df)
+    val b = LocalRecords.fromDf(df.repartition(7))
+    assert(a.proxy.toSeq == b.proxy.toSeq && a.positive.toSeq == b.positive.toSeq && a.stat.toSeq == b.stat.toSeq)
+    val rows = LocalRecords.collectById(df.repartition(7), Seq("proxy"))
+    assert(rows.map(_.getLong(0)).toSeq == rows.indices.map(_.toLong))
+    assert(rows.map(_.getDouble(1)).toSeq == a.proxy.toSeq)
+  }
+
+  test("fromDf and collectById reject a repeated id, naming it, and fromDf a null") {
+    val df = Datasets.generate(spark, Datasets.celeba, sf = 0.02)
+    val repeated = df.union(df.filter(col("id") === 123))
+    val e1 = intercept[IllegalArgumentException](LocalRecords.fromDf(repeated))
+    assert(e1.getMessage.contains("id 123 appears more than once"), e1.getMessage)
+    val e2 = intercept[IllegalArgumentException](LocalRecords.collectById(repeated, Seq("stat")))
+    assert(e2.getMessage.contains("id 123 appears more than once"), e2.getMessage)
+    val withNull = df.withColumn("proxy", when(col("id") === 77, lit(null)).otherwise(col("proxy")))
+    val e3 = intercept[Exception](LocalRecords.fromDf(withNull))
+    assert(e3.getMessage.contains("a null in (id, proxy, positive, stat) at id 77"), e3.getMessage)
+  }
+
+  test("idOrder sorts signed ids and leaves ascending ones alone") {
+    assert(IdColumns.idOrder(Array(Long.MinValue, -1L, 0L, 5L, Long.MaxValue)).isEmpty)
+    assert(IdColumns.idOrder(Array(3L, -2L, Long.MaxValue, Long.MinValue, 0L)).map(_.toSeq) == Some(Seq(3, 1, 4, 0, 2)))
   }
 }
