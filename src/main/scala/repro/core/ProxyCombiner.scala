@@ -20,10 +20,13 @@ import repro.sampling.{PermutationSampler, Rng}
   */
 object ProxyCombiner {
 
+  /** @param model the fitted combiner; `None` when the Stage-1 pilot held
+    *              one label class, so there was nothing to fit
+    */
   final case class CombinedResult(
       estimate: Double,
       oracleCalls: Long,
-      model: LogisticRegression#Model,
+      model: Option[LogisticRegression#Model],
   )
 
   /** Train on a labeled pilot and score every record. Every proxy value
@@ -38,6 +41,13 @@ object ProxyCombiner {
     val xs = pilotIdx.map(i => proxies.map(_(i)).toArray)
     val ys = pilotLabels.map(b => if (b) 1 else 0)
     val model = lr.fit(xs, ys)
+    (score(proxies, Some(model)), model)
+  }
+
+  /** Every record's score under `model`, or 0.0 without one, checking
+    * each proxy value is finite.
+    */
+  private def score(proxies: Vector[Array[Double]], model: Option[LogisticRegression#Model]): Array[Double] = {
     val n = proxies.head.length
     val scores = new Array[Double](n)
     val feat = new Array[Double](proxies.length)
@@ -50,10 +60,10 @@ object ProxyCombiner {
         feat(j) = v
         j += 1
       }
-      scores(i) = model.predictProb(feat)
+      if (model.isDefined) scores(i) = model.get.predictProb(feat)
       i += 1
     }
-    (scores, model)
+    scores
   }
 
   /** Run combined-proxy ABAE end to end.
@@ -88,7 +98,14 @@ object ProxyCombiner {
     val pilotIdx = new PermutationSampler(n, rng).next(n1)
     val pilot = StratumDraws.label(pilotIdx, oracle.query)
 
-    val (scores, model) = combineScores(proxies, pilotIdx, pilot.flags)
+    // A pilot of one label class has nothing to fit: every record scores
+    // the same, so the strata below are index ranges.
+    val (scores, model) =
+      if (pilot.flags.distinct.length < 2) (score(proxies, None), None)
+      else {
+        val (s, m) = combineScores(proxies, pilotIdx, pilot.flags)
+        (s, Some(m))
+      }
 
     // Restratify on the learned score; the pilot, filed into the new
     // strata, is Stage 1. Stage 2 draws uniformly from each stratum's

@@ -44,7 +44,7 @@ object Figures {
     "T-fig4: budget vs normalized Q-error (100*(q-1))",
     Seq("dataset", "budget", "abae_qerr", "uniform_qerr"),
     c => Seq(c.dataset, c.budget.toString, f2(c.abaeQ), f2(c.unifQ)))
-  val fig5: Figure[CiCell] = Figure("fig5", CoreFigures.fig5(_, trials(50), beta = 1000),
+  val fig5: Figure[CiCell] = Figure("fig5", CoreFigures.fig5(_, trials(200), beta = 1000),
     "T-fig5: budget vs 95% CI width and empirical coverage",
     Seq("dataset", "budget", "abae_width", "abae_cover", "unif_width", "unif_cover"),
     c => Seq(c.dataset, c.budget.toString, f4(c.abaeWidth), f2(c.abaeCoverage), f4(c.unifWidth),

@@ -187,6 +187,78 @@ class BootstrapSpec extends AnyFunSuite {
     }
   }
 
+  // ------------------------------------------- positive-count distribution
+
+  /** Binomial(n, pos/n) pmf from log-factorials, independently of the kernel's recurrence. */
+  private def binomialPmf(n: Int, pos: Int): Array[Double] = {
+    val logFact = (1 to n).scanLeft(0.0)(_ + math.log(_)).toArray
+    val (lp, lq) = (math.log(pos.toDouble / n), math.log((n - pos).toDouble / n))
+    Array.tabulate(n + 1)(c => math.exp(logFact(n) - logFact(c) - logFact(n - c) + c * lp + (n - c) * lq))
+  }
+
+  test("PositiveCount's table is the exact Binomial pmf for n ≤ 12 and every positive count") {
+    for (n <- 1 to 12; pos <- 0 to n) {
+      val pc = new Bootstrap.PositiveCount(n, pos)
+      if (pos == 0 || pos == n) {
+        assert(pc.cdf.isEmpty, s"n=$n pos=$pos has a table")
+        val r = new java.util.SplittableRandom(n * 13L + pos)
+        assert(Seq.fill(20)(pc.draw(r)).forall(_ == pos), s"n=$n pos=$pos")
+      } else {
+        val total = pc.cdf(n)
+        val exact = binomialPmf(n, pos)
+        for (c <- 0 to n) {
+          val pmf = (pc.cdf(c) - (if (c == 0) 0.0 else pc.cdf(c - 1))) / total
+          assert(math.abs(pmf - exact(c)) < 1e-12, s"n=$n pos=$pos c=$c: $pmf vs ${exact(c)}")
+        }
+      }
+    }
+  }
+
+  test("PositiveCount's table at n = 10,000 is finite and non-decreasing, and its search stays in [0, n]") {
+    val n = 10000
+    for (pos <- Seq(1, 5000, 9999)) {
+      val pc = new Bootstrap.PositiveCount(n, pos)
+      val cdf = pc.cdf
+      assert(cdf.length == n + 1 && cdf.forall(java.lang.Double.isFinite), s"pos=$pos")
+      assert((1 to n).forall(c => cdf(c) >= cdf(c - 1)), s"pos=$pos: table decreases")
+      val total = cdf(n)
+      assert(total > 0, s"pos=$pos")
+      val us = (0 until 100000).map(i => total * i / 100000) ++ Seq(0.0, math.nextDown(total))
+      for (u <- us) {
+        val c = pc.search(u)
+        assert(c >= 0 && c <= n, s"pos=$pos u=$u: count $c")
+        // The least count whose cumulative weight exceeds u.
+        assert(cdf(c) > u && (c == 0 || cdf(c - 1) <= u), s"pos=$pos u=$u: count $c")
+      }
+    }
+  }
+
+  test("a resample's positive count follows Binomial(n, positives/n) (chi-squared, fixed seeds)") {
+    val draws = 40000
+    for (((n, pos), seed) <- Seq((20, 7), (200, 13), (1000, 500), (5000, 4990)).zipWithIndex) {
+      val pc = new Bootstrap.PositiveCount(n, pos)
+      val r = new java.util.SplittableRandom(7000L + seed)
+      val observed = new Array[Long](n + 1)
+      for (_ <- 1 to draws) observed(pc.draw(r)) += 1
+      // Pool counts into cells of expected size ≥ 20, tails into their neighbours.
+      val expected = binomialPmf(n, pos).map(_ * draws)
+      val cells = scala.collection.mutable.ArrayBuffer.empty[(Double, Long)]
+      var e = 0.0
+      var o = 0L
+      for (c <- 0 to n) {
+        e += expected(c); o += observed(c)
+        if (e >= 20) { cells += ((e, o)); e = 0.0; o = 0L }
+      }
+      cells(cells.length - 1) = (cells.last._1 + e, cells.last._2 + o)
+      val chi2 = cells.map { case (ex, ob) => (ob - ex) * (ob - ex) / ex }.sum
+      // Upper 0.1% point of chi-squared (Wilson–Hilferty).
+      val df = cells.length - 1
+      val h = 2.0 / (9 * df)
+      val crit = df * math.pow(1 - h + 3.09 * math.sqrt(h), 3)
+      assert(df >= 3 && chi2 < crit, s"n=$n pos=$pos: chi2=$chi2 df=$df crit=$crit")
+    }
+  }
+
   // ----------------------------------------------------- end-to-end coverage
 
   test("nominal coverage: ~95% CIs contain the truth on repeated ABAE runs") {

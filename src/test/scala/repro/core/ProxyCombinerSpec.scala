@@ -94,6 +94,39 @@ class ProxyCombinerSpec extends AnyFunSuite {
     }
   }
 
+  test("run on a one-class pilot skips the fit and stratifies on index order") {
+    import repro.data.{Oracle, Stratification}
+    val m = 3000
+    val budget = 600
+    val params = AbaeParams(k = 5)
+    val seed = 8L
+    // The statistic rises with the index, so index-range strata shape the estimate.
+    val st = Array.tabulate(m)(i => 4.0 + 6.0 * i / m + (i % 7))
+    val proxies = Vector(good.take(m), junk.take(m))
+    for (label <- Seq(false, true)) {
+      val pos = Array.fill(m)(label)
+      val res = ProxyCombiner.run(pos, st, proxies, budget, params, seed)
+      assert(res.model.isEmpty, s"all-$label: fitted a model")
+
+      // The same pilot and Stage 2 over strata that are index ranges.
+      val rng = Rng.stream(seed, 13)
+      val oracle = new Oracle(i => (pos(i), st(i)))
+      val n1 = math.max(params.k * 2, (budget * params.stage1Frac).toInt)
+      val pilotIdx = new PermutationSampler(m, rng).next(n1)
+      val pilot = StratumDraws.label(pilotIdx, oracle.query)
+      val strat = Stratification(Array.tabulate(m)(_.toDouble), params.k)
+      val inPilot = pilotIdx.toSet
+      val ref = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot), budget - n1, { (s, k) =>
+        val pool = strat.indices(s).filterNot(inPilot)
+        StratumDraws.label(new PermutationSampler(pool.length, rng).next(k).map(pool(_)), oracle.query)
+      })
+      assert(res.estimate == ref.estimate && res.oracleCalls == oracle.calls,
+        s"all-$label: ${res.estimate} / ${res.oracleCalls} vs ${ref.estimate} / ${oracle.calls}")
+    }
+    val fitted = ProxyCombiner.run(positive, stat, Vector(good, junk), 2000, params, seed)
+    assert(fitted.model.isDefined)
+  }
+
   test("run rejects undersized budgets") {
     intercept[IllegalArgumentException] {
       ProxyCombiner.run(positive, stat, Vector(good), 5, AbaeParams(k = 5), 1)
