@@ -47,9 +47,9 @@ final case class AbaeResult(
   * The samplers are stateful permutations, so Stage 2 extends Stage 1's
   * sample exactly as in the pseudocode
   * (`R_k^(2) ← R_k^(1) + SampleFn(S_k, ⌊N_2·T̂_k⌋)`). The lower-level
-  * `run` takes the true stratum sizes |S_k| but reads them only to check
-  * that there are K of them: a sampler may reach fewer records (the Spark
-  * engine's reach a stratum's first `budget` ranks).
+  * `run` takes the stratum sizes |S_k| but reads them only to check that
+  * there are K of them. Both engines' seeded entry points pass it the same
+  * [[samplers]], so one seed draws the same records on either engine.
   */
 object Abae {
 
@@ -97,8 +97,14 @@ object Abae {
     AbaeResult(Estimators.combine(finalEst), finalEst, stage1Est, tHat, draws, draws.map(_.n.toLong).sum)
   }
 
+  /** The seeded samplers of both engines: a fresh [[PermutationSampler]]
+    * per stratum of size `sizes(s)`, each on its own stream of `seed`.
+    */
+  def samplers(sizes: Vector[Int], seed: Long): Vector[StratumSampler] =
+    Vector.tabulate(sizes.length)(s => new PermutationSampler(sizes(s), Rng.stream(seed, s)))
+
   /** Convenience entry point over a stratified local dataset with fresh
-    * seeded permutation samplers (one independent stream per stratum).
+    * seeded [[samplers]].
     */
   def run(
       data: StratifiedLocal,
@@ -108,9 +114,6 @@ object Abae {
       seed: Long,
   ): AbaeResult = {
     require(data.k == params.k, s"data has ${data.k} strata, params want ${params.k}")
-    val samplers = Vector.tabulate(data.k) { s =>
-      new PermutationSampler(data.strata(s).n, Rng.stream(seed, s))
-    }
-    run(data.sizes, oracle.query _, samplers, budget, params)
+    run(data.sizes, oracle.query _, samplers(data.sizes, seed), budget, params)
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
 import repro.data.{LocalRecords, MultiPredRecords}
 
 /** Boolean predicate expression over named expensive predicates —
@@ -49,16 +47,6 @@ object MultiPred {
     case Not(x)    => !evalOracle(x, labels)
     case And(l, r) => evalOracle(l, labels) && evalOracle(r, labels)
     case Or(l, r)  => evalOracle(l, labels) || evalOracle(r, labels)
-  }
-
-  /** The same proxy combination as a Catalyst column expression, for the
-    * Spark engine: pass a mapping from predicate name to proxy column.
-    */
-  def combinedProxyCol(e: PredExpr, proxyCol: String => Column): Column = e match {
-    case Pred(n)   => proxyCol(n)
-    case Not(x)    => lit(1.0) - combinedProxyCol(x, proxyCol)
-    case And(l, r) => combinedProxyCol(l, proxyCol) * combinedProxyCol(r, proxyCol)
-    case Or(l, r)  => greatest(combinedProxyCol(l, proxyCol), combinedProxyCol(r, proxyCol))
   }
 
   /** Lower a multi-predicate dataset to single-predicate form: combined

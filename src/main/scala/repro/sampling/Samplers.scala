@@ -10,7 +10,8 @@ import scala.util.Random
   * Stage-1 records (Algorithm 1, line 16: `R_k^(2) ← R_k^(1) + SampleFn`).
   * Modeling the sampler as a stateful prefix of one random permutation
   * makes the two stages disjoint by construction and makes sample reuse
-  * exact.
+  * exact. Both engines draw through [[PermutationSampler]], the one
+  * implementation; the trait is what a caller wraps to observe draws.
   */
 trait StratumSampler {
   def populationSize: Int
@@ -45,21 +46,6 @@ final class PermutationSampler(val populationSize: Int, rng: Random) extends Str
       pos += 1
       i += 1
     }
-    out
-  }
-}
-
-/** Returns `0, 1, 2, …` — for populations that are *already* randomly
-  * permuted: the Spark engine's strata, whose records it orders by a
-  * seeded hash of their ids.
-  */
-final class PrefixSampler(val populationSize: Int) extends StratumSampler {
-  private var pos = 0
-  override def drawn: Int = pos
-  override def next(count: Int): Array[Int] = {
-    val take = math.min(count, populationSize - pos)
-    val out = Array.range(pos, pos + take)
-    pos += take
     out
   }
 }

@@ -4,13 +4,12 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.data.{Datasets, Stratification, StratifiedLocal, StratumRecords}
-import repro.sampling.PrefixSampler
+import repro.data.{CountingOracle, Datasets, IdColumns, Stratification, StratifiedLocal}
 
-/** Spark-engine tests: the engine's strata and permutation ranks against
-  * the window plan below and DuckDB's `NTILE`, the DuckDB equivalence
-  * checks of the estimates over the sampled rows, and exact agreement with
-  * the local engine on identical draws.
+/** Spark-engine tests: the engine's strata against the window plan below
+  * and DuckDB's `NTILE`, the DuckDB equivalence checks of the estimates
+  * over the sampled rows, and exact agreement with the local engine's
+  * seeded entry point.
   */
 class AbaeSparkSpec extends SparkSpec {
 
@@ -25,35 +24,32 @@ class AbaeSparkSpec extends SparkSpec {
   private def stratify(df: DataFrame, k: Int): DataFrame =
     df.withColumn("stratum", ntile(k).over(Window.orderBy("proxy", "id")))
 
-  /** Reference: `rk`, the row's position (1-based) in its stratum ordered
-    * by `(xxhash64(id, seed), id)`, a seeded uniform random permutation.
+  /** The engine's strata, as `run` computes them: stratum `s + 1`'s ids
+    * in proxy order are `engineStrata(…)(s)`.
     */
-  private def permutationRanks(df: DataFrame, seed: Long): DataFrame =
-    df.withColumn("rk", row_number().over(
-      Window.partitionBy("stratum")
-        .orderBy(xxhash64(col("id"), lit(seed)), col("id"))))
-
-  /** The engine's whole strata in rank order, as rows `(id, stratum, rk)`. */
-  private def engineRanks(d: DataFrame, k: Int, seed: Long): DataFrame = {
-    val c = AbaeSpark.candidates(d, k, budget = Int.MaxValue, seed)
-    spark.createDataFrame(for (s <- c.indices; j <- c(s).indices) yield (c(s)(j), s + 1, j + 1))
-      .toDF("id", "stratum", "rk")
+  private def engineStrata(d: DataFrame, k: Int): Vector[Array[Long]] = {
+    val t = IdColumns.collect(d)
+    val strat = Stratification(t.proxy, k)
+    Vector.tabulate(k)(s => strat.indices(s).map(t.id))
   }
 
-  private def triples(d: DataFrame): Set[(Long, Int, Int)] =
-    d.select("id", "stratum", "rk").collect().map(r => (r.getLong(0), r.getInt(1), r.getInt(2))).toSet
+  /** The engine's strata as rows `(id, stratum)`. */
+  private def engineStratumDf(d: DataFrame, k: Int): DataFrame = {
+    val c = engineStrata(d, k)
+    spark.createDataFrame(for (s <- c.indices; id <- c(s)) yield (id, s + 1)).toDF("id", "stratum")
+  }
 
   // ------------------------------------------------------------- stratify
 
   test("stratify produces K strata with NTILE sizes") {
-    val sizes = AbaeSpark.candidates(df, 5, budget = n, seed = 1).map(_.length)
+    val sizes = engineStrata(df, 5).map(_.length)
     assert(sizes == StratifiedLocal.ntileSizes(n, 5).toSeq)
     val reference = stratify(df, 5).groupBy("stratum").count().orderBy("stratum").collect()
     assert(reference.map(_.getLong(1).toInt).toSeq == sizes)
   }
 
   test("stratify orders strata by proxy score") {
-    val bounds = engineRanks(df, 4, seed = 1).join(df, "id")
+    val bounds = engineStratumDf(df, 4).join(df, "id")
       .groupBy("stratum").agg(min("proxy").as("lo"), max("proxy").as("hi"))
       .orderBy("stratum").collect()
     assert(bounds.map(_.getInt(0)).toSeq == (1 to 4))
@@ -66,7 +62,7 @@ class AbaeSparkSpec extends SparkSpec {
     val localIdx = StratifiedLocal.ntileIndices(local.proxy, 5)
     val reference = stratify(df, 5).select("id", "stratum").collect()
       .map(r => r.getLong(0) -> r.getInt(1)).toMap
-    val engine = AbaeSpark.candidates(df, 5, budget = n, seed = 1)
+    val engine = engineStrata(df, 5)
     for (s <- 0 until 5) {
       for (id <- engine(s))
         assert(reference(id) == s + 1, s"id $id: window=${reference(id)} engine=${s + 1}")
@@ -84,50 +80,14 @@ class AbaeSparkSpec extends SparkSpec {
     assert(window == Seq(0L, 1L, 4L, 5L, 3L, 2L))
     val strat = Stratification(proxy, proxy.length)
     assert((0 until proxy.length).map(strat.record(_, 0).toLong) == window)
-    assert(AbaeSpark.candidates(tiny, proxy.length, budget = 1, seed = 1).map(_.head) == window)
-  }
-
-  // ---------------------------------------------------------- permutation
-
-  test("permutationRanks are a permutation of 1..size within each stratum") {
-    val engine = engineRanks(df, 5, seed = 11)
-    val byStratum = engine.groupBy("stratum")
-      .agg(count(lit(1)).as("n"), min("rk").as("lo"), max("rk").as("hi"),
-        countDistinct("rk").as("d"))
-      .collect()
-    assert(byStratum.length == 5)
-    byStratum.foreach { r =>
-      val size = r.getLong(1)
-      assert(r.getInt(2) == 1 && r.getInt(3).toLong == size && r.getLong(4) == size)
-    }
-    assert(triples(engine) == triples(permutationRanks(stratify(df, 5), seed = 11)))
-  }
-
-  test("permutationRanks differ across seeds but are stable within a seed") {
-    def firstIds(seed: Long): Seq[Long] = AbaeSpark.candidates(df, 3, budget = 1, seed).map(_.head)
-    assert(firstIds(1) == firstIds(1))
-    assert(firstIds(1) != firstIds(2))
-    val reference = permutationRanks(stratify(df, 3), seed = 2).filter(col("rk") === 1)
-      .orderBy("stratum").select("id").collect().map(_.getLong(0)).toSeq
-    assert(firstIds(2) == reference)
-  }
-
-  test("rankHash is Catalyst's xxhash64(id, seed)") {
-    val ids = Seq(0L, 1L, -1L, 42L, -987654321012L, Long.MinValue, Long.MaxValue, Long.MinValue + 1, Long.MaxValue - 1)
-    val ds = spark.createDataFrame(ids.map(Tuple1(_))).toDF("id")
-    for (seed <- Seq(0L, 1L, 7L, -1L, -123456789L, Long.MinValue, Long.MaxValue)) {
-      val catalyst = ds.select(col("id"), xxhash64(col("id"), lit(seed))).collect()
-      assert(catalyst.length == ids.length)
-      for (r <- catalyst)
-        assert(AbaeSpark.rankHash(r.getLong(0), seed) == r.getLong(1), s"id=${r.getLong(0)} seed=$seed")
-    }
+    assert(engineStrata(tiny, proxy.length).map(_.head) == window)
   }
 
   // -------------------------------------------------- DuckDB equivalence
 
   test("stratify matches DuckDB's NTILE over (proxy, id)") {
     Oracle.assertEquivalent(
-      engineRanks(df, 5, seed = 1).select("id", "stratum"),
+      engineStratumDf(df, 5),
       """SELECT CAST(id AS BIGINT) AS id,
         |       NTILE(5) OVER (ORDER BY CAST(proxy AS DOUBLE), CAST(id AS BIGINT)) AS stratum
         |FROM d""".stripMargin,
@@ -156,7 +116,7 @@ class AbaeSparkSpec extends SparkSpec {
     }).toDF("stratum", "draws", "npos", "p", "mu", "sigma")
 
   test("fromDraws matches DuckDB on the full stratified dataset") {
-    val stratified = engineRanks(df, 4, seed = 1).join(df, "id").select("stratum", "positive", "stat")
+    val stratified = engineStratumDf(df, 4).join(df, "id").select("stratum", "positive", "stat")
     val rows = stratified.collect()
     val est = (1 to 4).map { s =>
       val mine = rows.filter(_.getInt(0) == s)
@@ -272,35 +232,40 @@ class AbaeSparkSpec extends SparkSpec {
     assert(AbaeSpark.run(tiny(col("id") % 2 === 0, Double.NaN), budget = 40, AbaeParams(k = 2), seed = 1).estimate == 1.0)
   }
 
-  test("Spark engine and local engine agree exactly on identical draws") {
+  test("Spark engine and local engine agree exactly through their seeded entry points") {
     val k = 5
-    for (seed <- Seq(17L, 18L, 19L)) {
-      // Rebuild the exact per-stratum permutation order locally and replay
-      // the algorithm with prefix samplers over whole strata.
-      val ranked = permutationRanks(stratify(df, k), seed)
-        .select("stratum", "rk", "positive", "stat")
-        .orderBy("stratum", "rk")
-        .collect()
-      val stratified = StratifiedLocal(Vector.tabulate(k) { s =>
-        val rows = ranked.filter(_.getInt(0) == s + 1)
-        StratumRecords(rows.map(_.getBoolean(2)), rows.map(_.getDouble(3)))
-      })
-      // 2K is the smallest budget; 8000 exceeds every stratum's size, so
-      // the Spark engine's candidates are whole strata.
-      assert(stratified.sizes.max < 8000 && 8000 < n)
-      for (budget <- Seq(2 * k, 1500, 8000); reuse <- Seq(true, false)) {
-        val params = AbaeParams(k = k, reuse = reuse)
-        val sparkRes = AbaeSpark.run(df, budget, params, seed)
-        val localRes = Abae.run(
-          stratified.sizes,
-          (s, i) => (stratified.strata(s).positive(i), stratified.strata(s).stat(i)),
-          stratified.sizes.map(new PrefixSampler(_)), budget, params)
-        val at = s"seed=$seed budget=$budget reuse=$reuse"
-        assert(sparkRes.estimate == localRes.estimate, at)
-        assert(sparkRes.perStratum == localRes.perStratum, at)
-        assert(sparkRes.allocation.toSeq == localRes.allocation.toSeq, at)
-        assert(sparkRes.oracleCalls == localRes.oracleCalls, at)
+    val strat = StratifiedLocal(Datasets.local(spark, Datasets.celeba, sf = 0.05), k)
+    // 2K is the smallest budget; 8000 exceeds every stratum's size, so
+    // Stage 2 exhausts strata.
+    assert(strat.sizes.max < 8000 && 8000 < n)
+    for (seed <- Seq(17L, 18L, 19L); budget <- Seq(2 * k, 1500, 8000); reuse <- Seq(true, false)) {
+      val params = AbaeParams(k = k, reuse = reuse)
+      val sparkRes = AbaeSpark.run(df, budget, params, seed)
+      val localRes = Abae.run(strat, new CountingOracle(strat), budget, params, seed)
+      val at = s"seed=$seed budget=$budget reuse=$reuse"
+      def draws(r: AbaeResult) = r.draws.map(d => (d.flags.toSeq, d.stats.toSeq))
+      assert(sparkRes.estimate == localRes.estimate, at)
+      assert(sparkRes.perStratum == localRes.perStratum, at)
+      assert(sparkRes.stage1 == localRes.stage1, at)
+      assert(sparkRes.allocation.toSeq == localRes.allocation.toSeq, at)
+      assert(sparkRes.oracleCalls == localRes.oracleCalls, at)
+      assert(draws(sparkRes) == draws(localRes), at)
+      // The served rows, in order, are each stratum's draws, numbered 1..n.
+      val rows = sparkRes.sampled.select("stratum", "rk", "positive", "stat").collect()
+        .map(r => (r.getInt(0), r.getInt(1), r.getBoolean(2), r.getDouble(3)))
+      for (s <- 0 until k) {
+        val mine = rows.filter(_._1 == s + 1)
+        assert(mine.map(_._2).toSeq == (1 to mine.length), at)
+        assert((mine.map(_._3).toSeq, mine.map(_._4).toSeq) == draws(localRes)(s), at)
       }
     }
+  }
+
+  test("two seeds serve different first ids") {
+    def firstIds(seed: Long): Seq[Long] =
+      AbaeSpark.run(df, 10, AbaeParams(k = 5), seed).sampled.filter(col("rk") === 1)
+        .orderBy("stratum").select("id").collect().map(_.getLong(0)).toSeq
+    assert(firstIds(1).length == 5)
+    assert(firstIds(1) != firstIds(2))
   }
 }

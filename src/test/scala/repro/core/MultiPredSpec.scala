@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.data.{CountingOracle, ExtDatasets, MultiPredRecords, StratifiedLocal}
 import repro.metrics.Metrics
@@ -61,20 +60,6 @@ class MultiPredSpec extends SparkSpec {
   test("names collects every referenced predicate") {
     val e = Or(And(Pred("a"), Not(Pred("b"))), Pred("c"))
     assert(e.names == Set("a", "b", "c"))
-  }
-
-  // -------------------------------------------------------------- Spark parity
-
-  test("combinedProxyCol agrees with the local combination on real data") {
-    val df = ExtDatasets.syntheticMultiPred(spark, rows = 5000)
-    val e = And(Pred("a"), Pred("b"))
-    val sparkScores = df
-      .withColumn("combined", MultiPred.combinedProxyCol(e, nm => col(s"proxy_$nm")))
-      .select("id", "combined").orderBy("id").collect().map(_.getDouble(1))
-    val rec = ExtDatasets.collectMultiPred(df, Vector("a", "b"))
-    val localScores = Array.tabulate(rec.n)(i =>
-      MultiPred.combineProxy(e, nm => rec.proxies(nm)(i)))
-    sparkScores.zip(localScores).foreach { case (s, l) => assert(math.abs(s - l) < 1e-12) }
   }
 
   // --------------------------------------------------------------------- lower

@@ -61,14 +61,6 @@ class SamplersSpec extends AnyFunSuite {
     assert(idx.toSet.size == 10)
   }
 
-  test("PrefixSampler returns sequential prefixes") {
-    val s = new PrefixSampler(10)
-    assert(s.next(4).toSeq == Seq(0, 1, 2, 3))
-    assert(s.next(4).toSeq == Seq(4, 5, 6, 7))
-    assert(s.next(4).toSeq == Seq(8, 9))
-    assert(s.drawn == 10)
-  }
-
   /** Stage-2 draws outside an earlier sample, as GroupBy's single-oracle
     * runner and ProxyCombiner take them: a permutation prefix of the pool
     * minus the excluded records.
