@@ -232,7 +232,7 @@ class AbaeSparkSpec extends SparkSpec {
     assert(AbaeSpark.run(tiny(col("id") % 2 === 0, Double.NaN), budget = 40, AbaeParams(k = 2), seed = 1).estimate == 1.0)
   }
 
-  test("Spark engine and local engine agree exactly through their seeded entry points") {
+  test("Spark engine and local engine agree exactly on identical draws") {
     val k = 5
     val strat = StratifiedLocal(Datasets.local(spark, Datasets.celeba, sf = 0.05), k)
     // 2K is the smallest budget; 8000 exceeds every stratum's size, so
