@@ -44,12 +44,13 @@ final case class AbaeResult(
   * The engine is data-agnostic: it sees only an oracle
   * `(stratum, index) → (matches, statistic)` and one without-replacement
   * [[StratumSampler]] per stratum, which carries its stratum's population.
-  * The samplers are stateful permutations, so Stage 2 extends Stage 1's
-  * sample exactly as in the pseudocode
+  * A sampler remembers its draws, so Stage 2 extends Stage 1's sample
+  * exactly as in the pseudocode
   * (`R_k^(2) ← R_k^(1) + SampleFn(S_k, ⌊N_2·T̂_k⌋)`). The lower-level
-  * `run` takes the stratum sizes |S_k| but reads them only to check that
-  * there are K of them. Both engines' seeded entry points pass it the same
-  * [[samplers]], so one seed draws the same records on either engine.
+  * `run` takes the stratum sizes |S_k| and requires each stratum's sampler
+  * to draw from a population of exactly |S_k| records. Both engines' seeded
+  * entry points pass it the same [[samplers]], so one seed draws the same
+  * records on either engine.
   */
 object Abae {
 
@@ -66,6 +67,9 @@ object Abae {
   ): AbaeResult = {
     val k = params.k
     require(sizes.length == k && samplers.length == k, "need one stratum size and sampler per stratum")
+    for (s <- 0 until k)
+      require(samplers(s).populationSize == sizes(s),
+        s"stratum $s has ${sizes(s)} records but its sampler draws from ${samplers(s).populationSize}")
     require(budget >= 2 * k, s"budget $budget too small for $k strata")
 
     val n1 = stage1PerStratum(budget, params)

@@ -26,11 +26,12 @@ import repro.data.{IdColumns, Stratification}
   * stratum, so `rk ≤ N1` selects Stage 1.
   *
   * Memory: the driver keeps about 29 bytes per row of `df` while a query
-  * runs (the columns and the stratification order), and a query allocates
-  * 310–330 bytes per row on the way. On night-street (budget 10000, K=5,
-  * `local[4]`, 4 vCPU) a query allocated 322 MB at SF 1 (973k rows) and
-  * 1.2 GB at SF 4 (3.9M rows), and driver heap peaked 1.46 GB above its
-  * pre-query level at SF 4, so the driver's heap must grow with the table.
+  * runs (the columns and the stratification order; the samplers add one
+  * bit per row), and a query allocates 310–330 bytes per row on the way.
+  * On night-street (budget 10000, K=5, `local[4]`, 4 vCPU) a query
+  * allocated 322 MB at SF 1 (973k rows) and 1.2 GB at SF 4 (3.9M rows),
+  * and driver heap peaked 1.46 GB above its pre-query level at SF 4, so
+  * the driver's heap must grow with the table.
   */
 object AbaeSpark {
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.BitSet
 import repro.data.{GroupedRecords, Oracle}
 import repro.sampling.{PermutationSampler, Rng}
 import scala.collection.mutable.ArrayBuffer
@@ -195,15 +196,16 @@ object GroupBy {
     val oracle = keyOracle(data)
     val rng = Rng.stream(seed, 0)
 
-    // Every labeled record and its (group key, statistic), in draw order.
-    // A record drawn once is drawn in every stratification.
+    // Every labeled record and its (group key, statistic), in draw order,
+    // and the set of labeled records. A record drawn once is drawn in every
+    // stratification.
     val labeled = ArrayBuffer.empty[Int]
     val labels = ArrayBuffer.empty[(Int, Double)]
-    val drawn = new Array[Boolean](n)
+    val taken = new BitSet(n)
     def label(idx: Array[Int]): Unit = idx.foreach { i =>
       labeled += i
       labels += oracle.query(i)
-      drawn(i) = true
+      taken.set(i)
     }
 
     // Stage 1: one global uniform sample, visible to every stratification.
@@ -245,8 +247,9 @@ object GroupBy {
     val lambdas = minimaxShares(curves)
 
     // Stage 2: Λ_l·N2 to stratification l, T̂_{l,k} within it; draws are
-    // uniform over each cell's not-yet-drawn records so stage unions stay
-    // uniform without replacement. Because the single oracle labels the
+    // uniform over each cell's not-yet-labeled records (a sampler over the
+    // cell that rejects records in `taken`), so stage unions stay uniform
+    // without replacement. Because the single oracle labels the
     // *group key* of every sampled record, each draw is usable by every
     // stratification ("estimates for the other groups for free"): cellEst
     // files it into its cell of all G stratifications, which stays valid
@@ -255,10 +258,8 @@ object GroupBy {
     val budgets = Estimators.stage2Sizes(n2, lambdas)
     for (l <- 0 until g) {
       val m = Estimators.stage2Sizes(budgets(l), tHat(l))
-      for (s <- 0 until k) {
-        val pool = strata(l).indices(s).filterNot(drawn(_))
-        label(new PermutationSampler(pool.length, rng).next(m(s)).map(pool(_)))
-      }
+      for (s <- 0 until k)
+        label(PermutationSampler.excluding(strata(l), s, taken, rng).next(m(s)))
     }
 
     // Final: group g is estimated from its own stratification, whose
@@ -307,7 +308,7 @@ object GroupBy {
     // Eq. 11: group l's modeled error is baseVar(l) / (Λ_l · N2).
     val lambdas = minimaxShares(Vector.tabulate(g)(l => ErrorCurve(Array(base(l)), 0.0, Array(n2.toDouble))))
 
-    // Stage 2 extends each cell's permutation — exact sample reuse.
+    // Stage 2 extends each cell's sampler — exact sample reuse.
     val budgets = Estimators.stage2Sizes(n2, lambdas)
     val estimates = Vector.tabulate(g)(l => Abae.finish(stage1(l), budgets(l), draw(l, _, _)).estimate)
     GroupByResult(estimates, lambdas, oracles.map(_.calls).sum)

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.BitSet
 import repro.data.{Oracle, Stratification}
 import repro.ml.LogisticRegression
 import repro.sampling.{PermutationSampler, Rng}
@@ -111,12 +112,10 @@ object ProxyCombiner {
     // strata, is Stage 1. Stage 2 draws uniformly from each stratum's
     // records outside the pilot.
     val strat = Stratification(scores, k)
-    val drawn = new Array[Boolean](n)
-    pilotIdx.foreach(drawn(_) = true)
-    def draw(s: Int, m: Int): StratumDraws = {
-      val pool = strat.indices(s).filterNot(drawn(_))
-      StratumDraws.label(new PermutationSampler(pool.length, rng).next(m).map(pool(_)), oracle.query)
-    }
+    val taken = new BitSet(n)
+    pilotIdx.foreach(taken.set)
+    def draw(s: Int, m: Int): StratumDraws =
+      StratumDraws.label(PermutationSampler.excluding(strat, s, taken, rng).next(m), oracle.query)
     val res = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot), budget - n1, draw)
     CombinedResult(res.estimate, oracle.calls, model)
   }

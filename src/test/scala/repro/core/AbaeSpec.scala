@@ -171,6 +171,17 @@ class AbaeSpec extends AnyFunSuite {
     }
   }
 
+  test("stratum sizes that differ from the samplers' populations are rejected") {
+    val samplers = Abae.samplers(strat5.sizes, 1)
+    val oracle = new CountingOracle(strat5)
+    val short = strat5.sizes.updated(2, strat5.sizes(2) - 1)
+    val e = intercept[IllegalArgumentException] {
+      Abae.run(short, oracle.query _, samplers, 1000, AbaeParams(k = 5))
+    }
+    assert(e.getMessage.contains("stratum 2"))
+    assert(oracle.calls == 0)
+  }
+
   test("stage1Frac bounds are enforced") {
     intercept[IllegalArgumentException] { AbaeParams(stage1Frac = 0.0) }
     intercept[IllegalArgumentException] { AbaeParams(stage1Frac = 1.0) }

@@ -115,10 +115,10 @@ class ProxyCombinerSpec extends AnyFunSuite {
       val pilotIdx = new PermutationSampler(m, rng).next(n1)
       val pilot = StratumDraws.label(pilotIdx, oracle.query)
       val strat = Stratification(Array.tabulate(m)(_.toDouble), params.k)
-      val inPilot = pilotIdx.toSet
+      val taken = new java.util.BitSet(m)
+      pilotIdx.foreach(taken.set)
       val ref = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot), budget - n1, { (s, k) =>
-        val pool = strat.indices(s).filterNot(inPilot)
-        StratumDraws.label(new PermutationSampler(pool.length, rng).next(k).map(pool(_)), oracle.query)
+        StratumDraws.label(PermutationSampler.excluding(strat, s, taken, rng).next(k), oracle.query)
       })
       assert(res.estimate == ref.estimate && res.oracleCalls == oracle.calls,
         s"all-$label: ${res.estimate} / ${res.oracleCalls} vs ${ref.estimate} / ${oracle.calls}")
