@@ -56,7 +56,7 @@ class SamplersSpec extends AnyFunSuite {
     }
   }
 
-  test("PermutationSampler memory is one bit per record before half the population is drawn") {
+  test("PermutationSampler memory is one bit per record") {
     // A 10M-record population with 1,000 draws allocates its 1.25 MB bitset,
     // not an O(n)-word array (40 MB of ints).
     val bean = java.lang.management.ManagementFactory.getThreadMXBean
