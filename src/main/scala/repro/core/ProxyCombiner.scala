@@ -39,30 +39,54 @@ object ProxyCombiner {
       pilotLabels: Array[Boolean],
   ): (Array[Double], LogisticRegression#Model) = {
     val lr = new LogisticRegression()
-    val xs = pilotIdx.map(i => proxies.map(_(i)).toArray)
+    val cols = proxies.toArray
+    val xs = pilotIdx.map { i =>
+      val row = new Array[Double](cols.length)
+      var j = 0
+      while (j < cols.length) { row(j) = cols(j)(i); j += 1 }
+      row
+    }
     val ys = pilotLabels.map(b => if (b) 1 else 0)
     val model = lr.fit(xs, ys)
     (score(proxies, Some(model)), model)
   }
 
   /** Every record's score under `model`, or 0.0 without one, checking
-    * each proxy value is finite.
+    * each proxy value is finite. Scoring runs one column at a time: each
+    * record starts at the bias and adds w_j·(x_j − mean_j)/std_j for j in
+    * order, as `predictProb` does, so the scores equal its values.
     */
-  private def score(proxies: Vector[Array[Double]], model: Option[LogisticRegression#Model]): Array[Double] = {
+  private[core] def score(proxies: Vector[Array[Double]], model: Option[LogisticRegression#Model]): Array[Double] = {
     val n = proxies.head.length
+    // The first non-finite value in record order, then column order.
+    var badRecord = n
+    var badColumn = -1
+    var j = 0
+    while (j < proxies.length) {
+      val col = proxies(j)
+      var i = 0
+      while (i < badRecord && java.lang.Double.isFinite(col(i))) i += 1
+      if (i < badRecord) { badRecord = i; badColumn = j }
+      j += 1
+    }
+    require(badColumn < 0,
+      s"proxy $badColumn has a non-finite value (${proxies(badColumn)(badRecord)}) at record $badRecord")
     val scores = new Array[Double](n)
-    val feat = new Array[Double](proxies.length)
-    var i = 0
-    while (i < n) {
-      var j = 0
+    if (model.isDefined) {
+      val m = model.get
+      java.util.Arrays.fill(scores, m.bias)
+      j = 0
       while (j < proxies.length) {
-        val v = proxies(j)(i)
-        require(java.lang.Double.isFinite(v), s"proxy $j has a non-finite value ($v) at record $i")
-        feat(j) = v
+        val col = proxies(j)
+        val w = m.weights(j)
+        val mu = m.mean(j)
+        val sd = m.std(j)
+        var i = 0
+        while (i < n) { scores(i) += w * (col(i) - mu) / sd; i += 1 }
         j += 1
       }
-      if (model.isDefined) scores(i) = model.get.predictProb(feat)
-      i += 1
+      var i = 0
+      while (i < n) { scores(i) = LogisticRegression.sigmoid(scores(i)); i += 1 }
     }
     scores
   }

@@ -200,19 +200,26 @@ final class Stratification private (order: Array[Int], offsets: Array[Int]) {
   def indices(s: Int): Array[Int] = java.util.Arrays.copyOfRange(order, offsets(s), offsets(s + 1))
 
   /** Stratum of each record. */
-  lazy val stratumOf: Array[Int] = {
+  lazy val stratumOf: Array[Int] = Stratification.stratumOf(order, offsets)
+}
+
+object Stratification {
+  /** Stratum of each record, for strata `order(offsets(s) until offsets(s + 1))`.
+    * A plain method rather than the lazy initializer's body: written
+    * there, the loop took ~1.2 ms per call on 52,578 records for its first
+    * ~200 calls, against ~0.1 ms here.
+    */
+  private[data] def stratumOf(order: Array[Int], offsets: Array[Int]): Array[Int] = {
     val m = new Array[Int](order.length)
     var s = 0
-    while (s < k) {
+    while (s < offsets.length - 1) {
       var j = offsets(s)
       while (j < offsets(s + 1)) { m(order(j)) = s; j += 1 }
       s += 1
     }
     m
   }
-}
 
-object Stratification {
   def apply(proxy: Array[Double], k: Int): Stratification = {
     val offsets = StratifiedLocal.ntileSizes(proxy.length, k).scanLeft(0)(_ + _)
     val keys = new Array[Long](proxy.length)

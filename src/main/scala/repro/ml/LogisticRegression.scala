@@ -19,12 +19,15 @@ package repro.ml
   *
   * The objective is convex in d + 1 unknowns, so Newton's method (IRLS;
   * McCullagh & Nelder, Generalized Linear Models) fits it in a few passes.
-  * Each iteration is one pass over the data that accumulates the gradient
-  * and the (d+1)×(d+1) Hessian, then a Cholesky solve; the step is halved
-  * while it would raise the objective, unless no coordinate of it exceeds
-  * 1e-6 (such a step is taken whole). Iteration starts at w = 0, b = 0 and
-  * stops once no coordinate of the Newton step exceeds 1e-10, or after 50
-  * iterations. On the combiner's pilots that takes six or seven passes.
+  * Each iteration evaluates the gradient and the (d+1)×(d+1) Hessian, then
+  * does a Cholesky solve; the step is halved while it would raise the
+  * objective, unless no coordinate of it exceeds 1e-6 (such a step is taken
+  * whole). Iteration starts at w = 0, b = 0 and stops once no coordinate of
+  * the Newton step exceeds 1e-10, or after 50 iterations. On the combiner's
+  * pilots that takes six or seven passes. The standardized features are
+  * one column-major array, so an evaluation is one pass over the rows for
+  * the per-row terms and the loss, then one reduction over the rows, in
+  * index order, per gradient and Hessian entry.
   *
   * When every label is the same, the bias has no finite optimum. Each
   * iteration then moves it by about one toward ±∞, the weights stay near
@@ -59,8 +62,12 @@ final class LogisticRegression(val lambda: Double = 1e-4) {
     val n = xs.length
     val d = xs.head.length
 
+    // z holds the standardized features column-major, feature j of row i
+    // at z(j * n + i), then the bias's constant feature 1 as column d.
     val mean = new Array[Double](d)
     val std = new Array[Double](d)
+    val z = new Array[Double](n * (d + 1))
+    java.util.Arrays.fill(z, n * d, n * (d + 1), 1.0)
     var j = 0
     while (j < d) {
       var s = 0.0
@@ -71,9 +78,10 @@ final class LogisticRegression(val lambda: Double = 1e-4) {
       i = 0
       while (i < n) { val c = xs(i)(j) - mean(j); v += c * c; i += 1 }
       std(j) = math.max(math.sqrt(v / n), 1e-12)
+      i = 0
+      while (i < n) { z(j * n + i) = (xs(i)(j) - mean(j)) / std(j); i += 1 }
       j += 1
     }
-    val z = Array.tabulate(n, d)((i, jj) => (xs(i)(jj) - mean(jj)) / std(jj))
 
     // theta holds w(0 until d), then b.
     var theta = new Array[Double](d + 1)
@@ -108,43 +116,67 @@ final class LogisticRegression(val lambda: Double = 1e-4) {
     Model(mean, std, theta.take(d), theta(d))
   }
 
-  /** One pass over the standardized rows `z`. */
-  private def evaluate(z: Array[Array[Double]], ys: Array[Int], theta: Array[Double]): LogisticRegression.Pass = {
+  /** The objective, gradient and Hessian at `theta`: one pass over the
+    * rows of the column-major `z` for the per-row terms and the loss, then
+    * one reduction over the rows, in index order, per gradient and per
+    * Hessian entry.
+    */
+  private def evaluate(z: Array[Double], ys: Array[Int], theta: Array[Double]): LogisticRegression.Pass = {
     val n = ys.length
     val m = theta.length
     val d = m - 1
     val g = new Array[Double](m)
     val h = new Array[Double](m * m)
-    val x = new Array[Double](m)
-    x(d) = 1.0
+    // t_i = b + Σ_j w_j·z_ij, summed over j in order.
+    val t = new Array[Double](n)
+    java.util.Arrays.fill(t, theta(d))
+    var j = 0
+    while (j < d) {
+      val w = theta(j)
+      val off = j * n
+      var i = 0
+      while (i < n) { t(i) += w * z(off + i); i += 1 }
+      j += 1
+    }
+    // r_i = σ(t_i) − y_i and s_i = σ(t_i)·(1 − σ(t_i)).
+    val r = new Array[Double](n)
+    val s = new Array[Double](n)
     var nll = 0.0
     var i = 0
     while (i < n) {
-      val zi = z(i)
-      var t = theta(d)
-      var j = 0
-      while (j < d) { x(j) = zi(j); t += theta(j) * x(j); j += 1 }
+      val ti = t(i)
       // With e = e^(−|t|), every term below is free of overflow and of
       // cancellation: p = σ(t), q = 1 − p, and log(1 + e^(∓t)) the loss.
-      val e = math.exp(-math.abs(t))
-      val p = if (t >= 0) 1.0 / (1.0 + e) else e / (1.0 + e)
-      val q = if (t >= 0) e / (1.0 + e) else 1.0 / (1.0 + e)
+      val e = math.exp(-math.abs(ti))
+      val p = if (ti >= 0) 1.0 / (1.0 + e) else e / (1.0 + e)
+      val q = if (ti >= 0) e / (1.0 + e) else 1.0 / (1.0 + e)
       val pos = ys(i) != 0
-      nll += math.log1p(e) + (if (pos) math.max(-t, 0.0) else math.max(t, 0.0))
-      val r = if (pos) -q else p
-      val s = p * q
-      j = 0
-      while (j < m) {
-        g(j) += r * x(j)
-        val sx = s * x(j)
-        var k = j
-        while (k < m) { h(j * m + k) += sx * x(k); k += 1 }
-        j += 1
-      }
+      nll += math.log1p(e) + (if (pos) math.max(-ti, 0.0) else math.max(ti, 0.0))
+      r(i) = if (pos) -q else p
+      s(i) = p * q
       i += 1
     }
+    // g_j = Σ_i r_i·z_ij and h_jk = Σ_i (s_i·z_ij)·z_ik for k ≥ j.
+    j = 0
+    while (j < m) {
+      val oj = j * n
+      var acc = 0.0
+      i = 0
+      while (i < n) { acc += r(i) * z(oj + i); i += 1 }
+      g(j) = acc
+      var k = j
+      while (k < m) {
+        val ok = k * n
+        acc = 0.0
+        i = 0
+        while (i < n) { acc += s(i) * z(oj + i) * z(ok + i); i += 1 }
+        h(j * m + k) = acc
+        k += 1
+      }
+      j += 1
+    }
     var penalty = 0.0
-    var j = 0
+    j = 0
     while (j < m) {
       g(j) /= n
       var k = j
@@ -161,13 +193,13 @@ final class LogisticRegression(val lambda: Double = 1e-4) {
 }
 
 object LogisticRegression {
-  private val MaxIter = 50
-  private val MaxHalvings = 30
-  private val Tol = 1e-10
-  private val SmallStep = 1e-6
+  private[ml] val MaxIter = 50
+  private[ml] val MaxHalvings = 30
+  private[ml] val Tol = 1e-10
+  private[ml] val SmallStep = 1e-6
 
   /** Objective, gradient and Hessian (row-major) at one point. */
-  private final case class Pass(objective: Double, grad: Array[Double], hess: Array[Double])
+  private[ml] final case class Pass(objective: Double, grad: Array[Double], hess: Array[Double])
 
   def sigmoid(z: Double): Double =
     if (z >= 0) 1.0 / (1.0 + math.exp(-z))
@@ -177,7 +209,7 @@ object LogisticRegression {
     * factorization; None when h is not positive definite to working
     * precision.
     */
-  private def choleskySolve(h: Array[Double], g: Array[Double]): Option[Array[Double]] = {
+  private[ml] def choleskySolve(h: Array[Double], g: Array[Double]): Option[Array[Double]] = {
     val m = g.length
     val l = new Array[Double](m * m)
     var j = 0

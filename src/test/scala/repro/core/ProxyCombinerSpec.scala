@@ -47,6 +47,17 @@ class ProxyCombinerSpec extends AnyFunSuite {
     assert(math.abs(res.estimate - truth) < 0.3, s"est=${res.estimate} truth=$truth")
   }
 
+  test("combineScores scores every record as predictProb does") {
+    val pilot = new PermutationSampler(n, Rng.stream(7, 0)).next(2500)
+    val (scores, model) = ProxyCombiner.combineScores(Vector(good, junk), pilot, pilot.map(positive))
+    val differ = (0 until n).filter(i => scores(i) != model.predictProb(Array(good(i), junk(i))))
+    assert(differ.isEmpty, s"${differ.length} records differ, first ${differ.headOption}")
+  }
+
+  test("without a model every record scores 0.0") {
+    assert(ProxyCombiner.score(Vector(good, junk), None).forall(_ == 0.0))
+  }
+
   test("run is deterministic in the seed") {
     def once(seed: Long) = ProxyCombiner.run(positive, stat, Vector(good, junk),
       2000, AbaeParams(), seed).estimate
@@ -92,6 +103,23 @@ class ProxyCombinerSpec extends AnyFunSuite {
       assert(e.getMessage.contains("proxy 1 has a non-finite value") &&
         e.getMessage.contains("at record 123"), e.getMessage)
     }
+  }
+
+  test("run names the first non-finite proxy value by record, then by column") {
+    def message(bad: (Int, Int, Double)*): String = {
+      val cols = Vector(good.clone(), junk.clone())
+      for ((j, i, v) <- bad) cols(j)(i) = v
+      intercept[IllegalArgumentException] {
+        ProxyCombiner.run(positive, stat, cols, 2000, AbaeParams(), 1)
+      }.getMessage
+    }
+    val inf = Double.PositiveInfinity
+    assert(message((0, 500, Double.NaN), (1, 123, inf)) ==
+      "requirement failed: proxy 1 has a non-finite value (Infinity) at record 123")
+    assert(message((0, 123, Double.NaN), (1, 500, inf)) ==
+      "requirement failed: proxy 0 has a non-finite value (NaN) at record 123")
+    assert(message((1, 77, Double.NegativeInfinity), (0, 77, inf), (0, 9000, Double.NaN)) ==
+      "requirement failed: proxy 0 has a non-finite value (Infinity) at record 77")
   }
 
   test("run on a one-class pilot skips the fit and stratifies on index order") {

@@ -94,6 +94,23 @@ class SeededOutputsSpec extends AnyFunSuite {
     assert(b.estimate == 7.308387131838479 && b.oracleCalls == 798)
   }
 
+  test("ProxyCombiner.run reproduces its seeded model") {
+    // The data of the test above.
+    val n = 4000
+    val rng = new Random(12)
+    val theta = Array.fill(n)(rng.nextDouble() * 0.6)
+    val positive = theta.map(t => rng.nextDouble() < t)
+    val stat = theta.map(t => 4.0 + 8.0 * t + rng.nextGaussian())
+    val good = theta.map(t => math.rint((t + rng.nextGaussian() * 0.1) * 32) / 32)
+    val junk = Array.fill(n)(rng.nextDouble())
+    def model(seed: Long) =
+      ProxyCombiner.run(positive, stat, Vector(good, junk), 800, AbaeParams(k = 5), seed).model.get
+    val a = model(1)
+    assert(a.weights.toSeq == Seq(0.8551130612226103, 0.1155022488238507) && a.bias == -1.0089473688902524)
+    val b = model(2)
+    assert(b.weights.toSeq == Seq(0.7479448573193967, 0.006567588770444435) && b.bias == -0.927538987402112)
+  }
+
   test("Abae.run reproduces its seeded outputs, with and without reuse") {
     val strat = StratifiedLocal(records(), 5)
     def check(reuse: Boolean, seed: Long, budget: Int, estimate: Double, allocation: Seq[Double], calls: Long): Unit = {

@@ -144,6 +144,14 @@ class LocalSpec extends AnyFunSuite {
       assert(strat.stratumOf(strat.record(s, j)) == s)
       assert(strat.indices(s)(j) == strat.record(s, j))
     }
+    // k > n leaves strata empty; n = 0 leaves every stratum empty.
+    for ((n, k) <- Seq(3 -> 7, 1 -> 2, 0 -> 3)) {
+      val few = Stratification(Array.fill(n)(rng.nextDouble()), k)
+      assert(few.stratumOf.length == n, s"n=$n, k=$k")
+      for (s <- 0 until k; j <- 0 until few.size(s)) assert(few.stratumOf(few.record(s, j)) == s)
+    }
+    assert(Stratification.stratumOf(Array(2, 0, 1), Array(0, 1, 1, 3, 3, 3)).toSeq == Seq(2, 2, 0))
+    assert(Stratification.stratumOf(Array.empty, Array(0, 0, 0)).isEmpty)
   }
 
   // --------------------------------------------------------- StratifiedLocal

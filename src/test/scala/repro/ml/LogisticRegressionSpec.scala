@@ -57,6 +57,111 @@ class LogisticRegressionSpec extends AnyFunSuite {
     lr.Model(mean, std, w, b)
   }
 
+  /** The row-major fit that the column-major `fit` replaced: the same
+    * Newton iteration, with the gradient and Hessian accumulated row by
+    * row. Kept as the reference `fit` must equal bit for bit.
+    */
+  private def rowMajorReference(lr: LogisticRegression, xs: Array[Array[Double]], ys: Array[Int]): lr.Model = {
+    import LogisticRegression.{choleskySolve, MaxHalvings, MaxIter, SmallStep, Tol}
+    val n = xs.length
+    val d = xs.head.length
+    val mean = new Array[Double](d)
+    val std = new Array[Double](d)
+    var j = 0
+    while (j < d) {
+      var s = 0.0
+      var i = 0
+      while (i < n) { s += xs(i)(j); i += 1 }
+      mean(j) = s / n
+      var v = 0.0
+      i = 0
+      while (i < n) { val c = xs(i)(j) - mean(j); v += c * c; i += 1 }
+      std(j) = math.max(math.sqrt(v / n), 1e-12)
+      j += 1
+    }
+    val z = Array.tabulate(n, d)((i, jj) => (xs(i)(jj) - mean(jj)) / std(jj))
+
+    var theta = new Array[Double](d + 1)
+    var cur = rowMajorEvaluate(lr.lambda, z, ys, theta)
+    var iter = 0
+    var done = false
+    while (!done && iter < MaxIter) {
+      choleskySolve(cur.hess, cur.grad) match {
+        case None => done = true
+        case Some(step) if step.forall(s => math.abs(s) <= Tol) =>
+          theta = Array.tabulate(d + 1)(k => theta(k) - step(k))
+          done = true
+        case Some(step) =>
+          val small = step.forall(s => math.abs(s) <= SmallStep)
+          var t = 1.0
+          var halvings = 0
+          var accepted = false
+          while (!accepted && halvings <= MaxHalvings) {
+            val cand = Array.tabulate(d + 1)(k => theta(k) - t * step(k))
+            val next = rowMajorEvaluate(lr.lambda, z, ys, cand)
+            if (small || next.objective <= cur.objective) { theta = cand; cur = next; accepted = true }
+            else { t *= 0.5; halvings += 1 }
+          }
+          done = !accepted
+      }
+      iter += 1
+    }
+    lr.Model(mean, std, theta.take(d), theta(d))
+  }
+
+  private def rowMajorEvaluate(
+      lambda: Double,
+      z: Array[Array[Double]],
+      ys: Array[Int],
+      theta: Array[Double],
+  ): LogisticRegression.Pass = {
+    val n = ys.length
+    val m = theta.length
+    val d = m - 1
+    val g = new Array[Double](m)
+    val h = new Array[Double](m * m)
+    val x = new Array[Double](m)
+    x(d) = 1.0
+    var nll = 0.0
+    var i = 0
+    while (i < n) {
+      val zi = z(i)
+      var t = theta(d)
+      var j = 0
+      while (j < d) { x(j) = zi(j); t += theta(j) * x(j); j += 1 }
+      val e = math.exp(-math.abs(t))
+      val p = if (t >= 0) 1.0 / (1.0 + e) else e / (1.0 + e)
+      val q = if (t >= 0) e / (1.0 + e) else 1.0 / (1.0 + e)
+      val pos = ys(i) != 0
+      nll += math.log1p(e) + (if (pos) math.max(-t, 0.0) else math.max(t, 0.0))
+      val r = if (pos) -q else p
+      val s = p * q
+      j = 0
+      while (j < m) {
+        g(j) += r * x(j)
+        val sx = s * x(j)
+        var k = j
+        while (k < m) { h(j * m + k) += sx * x(k); k += 1 }
+        j += 1
+      }
+      i += 1
+    }
+    var penalty = 0.0
+    var j = 0
+    while (j < m) {
+      g(j) /= n
+      var k = j
+      while (k < m) { h(j * m + k) /= n; h(k * m + j) = h(j * m + k); k += 1 }
+      if (j < d) {
+        g(j) += lambda * theta(j)
+        h(j * m + j) += lambda
+        penalty += theta(j) * theta(j)
+      }
+      j += 1
+    }
+    LogisticRegression.Pass(nll / n + 0.5 * lambda * penalty, g, h)
+  }
+
   /** The objective and its gradient (weights, then bias) at a fitted model. */
   private def objectiveAndGradient(
       lr: LogisticRegression,
@@ -110,6 +215,38 @@ class LogisticRegressionSpec extends AnyFunSuite {
       assert(gradNorm <= 1e-8, s"seed $seed: gradient norm $gradNorm")
       val gap = xs.map(x => math.abs(m.predictProb(x) - ref.predictProb(x))).max
       assert(gap <= 1e-6, s"seed $seed: predicted probabilities differ by $gap")
+    }
+  }
+
+  test("fit equals the row-major reference bit for bit") {
+    val lr = new LogisticRegression()
+    def bits(a: Array[Double]) = a.toSeq.map(java.lang.Double.doubleToLongBits)
+    def check(name: String, xs: Array[Array[Double]], ys: Array[Int]): Unit = {
+      val m = lr.fit(xs, ys)
+      val ref = rowMajorReference(lr, xs, ys)
+      assert(bits(m.mean) == bits(ref.mean) && bits(m.std) == bits(ref.std), s"$name: standardization")
+      assert(bits(m.weights) == bits(ref.weights) && bits(Array(m.bias)) == bits(Array(ref.bias)),
+        s"$name: ${m.weights.toSeq} ${m.bias} vs ${ref.weights.toSeq} ${ref.bias}")
+    }
+    val rng = new Random(7)
+    // Features share a score plus noise of mixed scale; labels follow the score.
+    def pilot(n: Int, d: Int): (Array[Array[Double]], Array[Int]) = {
+      val score = Array.fill(n)(rng.nextGaussian())
+      val scale = Array.fill(d)(0.1 + 3.0 * rng.nextDouble())
+      val xs = score.map(s => scale.map(c => c * (s + rng.nextGaussian())))
+      (xs, score.map(s => if (rng.nextDouble() < LogisticRegression.sigmoid(2 * s)) 1 else 0))
+    }
+    for (n <- Seq(1, 2, 3, 17, 400, 6000) ++ Seq.fill(6)(1 + rng.nextInt(6000)); d <- 1 to 6) {
+      val (xs, ys) = pilot(n, d)
+      check(s"n=$n, d=$d", xs, ys)
+      if (n >= 2) {
+        check(s"n=$n, d=$d, one class 0", xs, Array.fill(n)(0))
+        check(s"n=$n, d=$d, one class 1", xs, Array.fill(n)(1))
+        // Separable on the first feature.
+        check(s"n=$n, d=$d, separable", xs, xs.map(x => if (x(0) > 0) 1 else 0))
+        // A constant column in front of the others.
+        check(s"n=$n, d=$d, constant column", xs.map(x => 2.5 +: x.tail), ys)
+      }
     }
   }
 
