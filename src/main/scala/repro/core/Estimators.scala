@@ -157,7 +157,9 @@ object Estimators {
   }
 
   /** MSE of an arbitrary deterministic-draw allocation T (Prop. 2, Eq. 3):
-    * `Σ_k w_k² σ_k² / (p_k T_k N)` — used to verify T* is the minimizer.
+    * `Σ_k w_k² σ_k² / (p_k T_k N)`. At N = 1 it is GroupBy's per-group
+    * error ([[GroupBy.baseVariance]]); the theory tests use it to verify
+    * T* is the minimizer.
     */
   def allocationMse(p: Array[Double], sigma: Array[Double], t: Array[Double], n: Double): Double = {
     val pAll = p.sum

@@ -41,26 +41,19 @@ object GroupBy {
     Vector.tabulate(data.g)(g => new Oracle(i => (data.group(i) == g, data.stat(i))))
 
   /** Λ-free part of the estimated MSE of group g's estimator from
-    * stratification l (the inner sum of Eqs. 10–11):
-    * `Σ_k ŵ² σ̂² / (p̂ T̂)`; the modeled error is this over `Λ_l·N2`.
-    * Infinite when some stratum has mass (p̂ > 0) but no allocation.
+    * stratification l (the inner sum of Eqs. 10–11): Prop. 2's
+    * `Σ_k ŵ² σ̂² / (p̂ T̂)`, which is [[Estimators.allocationMse]] at N = 1;
+    * the modeled error is this over `Λ_l·N2`. Infinite when some stratum
+    * has mass (p̂ > 0) but no allocation.
     */
-  def baseVariance(cells: IndexedSeq[StratumEstimates], tHat: Array[Double]): Double = {
-    val pSum = cells.map(_.pHat).sum
-    if (pSum == 0.0) return Double.PositiveInfinity // no information about this group
-    var s = 0.0
-    var k = 0
-    while (k < cells.length) {
-      val e = cells(k)
-      val w = e.pHat / pSum
-      if (w > 0) {
-        if (tHat(k) <= 0) return Double.PositiveInfinity
-        s += w * w * e.sigmaHat * e.sigmaHat / (e.pHat * tHat(k))
-      }
-      k += 1
-    }
-    math.max(s, VarFloor)
-  }
+  def baseVariance(cells: IndexedSeq[StratumEstimates], tHat: Array[Double]): Double =
+    math.max(Estimators.allocationMse(cells.map(_.pHat).toArray, cells.map(_.sigmaHat).toArray, tHat, 1.0), VarFloor)
+
+  /** Group g's view of draws labeled (group key, statistic): a draw is
+    * positive when its key is g.
+    */
+  private def members(labels: Array[(Int, Double)], g: Int): StratumDraws =
+    StratumDraws(labels.map(_._1 == g), labels.map(_._2))
 
   // ---------------------------------------------------------- minimax Λ
 
@@ -212,15 +205,13 @@ object GroupBy {
     val n1 = math.max(g * k, (budget * params.stage1Frac).toInt)
     label(new PermutationSampler(n, rng).next(n1))
 
-    // Per-cell estimates of group `targetG` from stratification l.
-    def cellEst(l: Int, targetG: Int): Vector[StratumEstimates] = {
-      val d = StratumDraws(labels.map(_._1 == targetG).toArray, labels.map(_._2).toArray)
-      StratumDraws.byStratum(strata(l), labeled.toArray, d).map(Estimators.fromDraws)
-    }
+    // Per-cell estimates of group l from its own stratification l.
+    def cellEst(l: Int): Vector[StratumEstimates] =
+      StratumDraws.byStratum(strata(l), labeled.toArray, members(labels.toArray, l)).map(Estimators.fromDraws)
 
     // Within-stratification allocation: optimal for the stratification's
     // own group (T̂_{l,k} from p̂_{l,l,k}, σ̂_{l,l,k}, pooled-σ̂ repaired).
-    val ownEst = Vector.tabulate(g)(l => cellEst(l, l))
+    val ownEst = Vector.tabulate(g)(cellEst)
     val tHat = ownEst.map(e => Estimators.allocationFromPilot(e))
 
     val n2 = (budget - oracle.calls).toInt
@@ -269,7 +260,7 @@ object GroupBy {
     // stratifications because with a shared sample the pooled components
     // are strongly correlated and pooling can only add the convexity
     // penalty of the misaligned stratifications (see DESIGN.md §2).
-    val estimates = Vector.tabulate(g)(tg => Estimators.combine(cellEst(tg, tg)))
+    val estimates = Vector.tabulate(g)(tg => Estimators.combine(cellEst(tg)))
     GroupByResult(estimates, lambdas, oracle.calls)
   }
 
@@ -321,15 +312,9 @@ object GroupBy {
     */
   def uniformSingleOracle(data: GroupedRecords, budget: Int, seed: Long): GroupByResult = {
     val oracle = keyOracle(data)
-    val idx = new PermutationSampler(data.n, Rng.stream(seed, 7)).next(budget)
-    val sums = new Array[Double](data.g)
-    val counts = new Array[Int](data.g)
-    idx.foreach { i =>
-      val (gi, st) = oracle.query(i)
-      if (gi >= 0) { sums(gi) += st; counts(gi) += 1 }
-    }
+    val labels = new PermutationSampler(data.n, Rng.stream(seed, 7)).next(budget).map(oracle.query)
     GroupByResult(
-      Vector.tabulate(data.g)(j => if (counts(j) == 0) 0.0 else sums(j) / counts(j)),
+      Vector.tabulate(data.g)(j => Estimators.fromDraws(members(labels, j)).muHat),
       Array.fill(data.g)(1.0 / data.g),
       oracle.calls)
   }

@@ -22,10 +22,4 @@ object UniformSampling {
     val d = StratumDraws.label(new PermutationSampler(n, rng).next(budget), oracle)
     Result(Estimators.fromDraws(d).muHat, d, d.n.toLong)
   }
-
-  /** 95%-style bootstrap CI for the uniform estimator: the draw set is a
-    * single "stratum", resampled exactly as in Algorithm 2.
-    */
-  def ci(result: Result, beta: Int, alpha: Double, rng: Random): Bootstrap.Interval =
-    Bootstrap.ci(Seq(result.draws), beta, alpha, rng)
 }

@@ -77,8 +77,9 @@ final case class IdColumns(id: Array[Long], proxy: Array[Double], positive: Arra
 object IdColumns {
   /** One Spark job: each partition fills primitive arrays, and the driver
     * joins them and puts them in id order. Rejects a null, and a repeated
-    * id, naming the id. Collecting allocates about 335 bytes per row on
-    * the way (partition buffers, task-result serialization, the join).
+    * id, naming the id. What it allocates on the way (partition buffers,
+    * task-result serialization, the join) is part of the per-query figure
+    * in [[repro.core.AbaeSpark]]'s Memory paragraph.
     */
   def collect(df: DataFrame): IdColumns = {
     val parts = df.select(col("id").cast("long"), col("proxy").cast("double"),

@@ -15,6 +15,8 @@ object CoreFigures {
   val PaperBudgets: Seq[Int] = Seq(2000, 4000, 6000, 8000, 10000)
   val LowBudgets: Seq[Int] = Seq(500, 750, 1000)
   val DefaultParams: AbaeParams = AbaeParams(k = 5, stage1Frac = 0.5)
+  /** The budget of the lesion and sensitivity studies, Figs. 9–11. */
+  val StudyBudget: Int = 10000
 
   // ------------------------------------------------------------ Fig 2 and 3
 
@@ -116,7 +118,7 @@ object CoreFigures {
           val ci = Bootstrap.ci(res.draws, beta, alpha = 0.05, Rng.stream(31L * b + t, 1))
           aw += ci.width; if (ci.contains(truth)) ac += 1
           val ur = UniformSampling.run(rec, b, 73L * b + t)
-          val uci = UniformSampling.ci(ur, beta, 0.05, Rng.stream(91L * b + t, 2))
+          val uci = Bootstrap.ci(Seq(ur.draws), beta, 0.05, Rng.stream(91L * b + t, 2))
           uw += uci.width; if (uci.contains(truth)) uc += 1
         }
         CiCell(p.name, b, aw / nTrials, ac.toDouble / nTrials, uw / nTrials, uc.toDouble / nTrials)
@@ -135,17 +137,17 @@ object CoreFigures {
       unifRmse: Double,
   )
 
-  def fig9(spark: SparkSession, nTrials: Int, budget: Int = 10000): Vector[LesionCell] =
+  def fig9(spark: SparkSession, nTrials: Int): Vector[LesionCell] =
     Datasets.all.toVector.map { p =>
       val rec = Harness.records(spark, p)
       val strat = Harness.stratified(spark, p, DefaultParams.k)
       val truth = rec.truth
       val full = Metrics.rmse(
-        Harness.abaeEstimates(strat, budget, nTrials, DefaultParams, 111L), truth)
+        Harness.abaeEstimates(strat, StudyBudget, nTrials, DefaultParams, 111L), truth)
       val noReuse = Metrics.rmse(
-        Harness.abaeEstimates(strat, budget, nTrials,
+        Harness.abaeEstimates(strat, StudyBudget, nTrials,
           DefaultParams.copy(reuse = false), 222L), truth)
-      val unif = Metrics.rmse(Harness.uniformEstimates(rec, budget, nTrials, 333L), truth)
+      val unif = Metrics.rmse(Harness.uniformEstimates(rec, StudyBudget, nTrials, 333L), truth)
       LesionCell(p.name, full, noReuse, unif)
     }
 
@@ -154,20 +156,15 @@ object CoreFigures {
   /** Sensitivity to the number of strata K (uniform baseline alongside). */
   final case class KCell(dataset: String, k: Int, abaeRmse: Double, unifRmse: Double)
 
-  def fig10(
-      spark: SparkSession,
-      nTrials: Int,
-      ks: Seq[Int] = 2 to 10,
-      budget: Int = 10000,
-  ): Vector[KCell] =
+  def fig10(spark: SparkSession, nTrials: Int): Vector[KCell] =
     Datasets.all.toVector.flatMap { p =>
       val rec = Harness.records(spark, p)
       val truth = rec.truth
-      val unif = Metrics.rmse(Harness.uniformEstimates(rec, budget, nTrials, 444L), truth)
-      ks.map { k =>
+      val unif = Metrics.rmse(Harness.uniformEstimates(rec, StudyBudget, nTrials, 444L), truth)
+      (2 to 10).map { k =>
         val strat = Harness.stratified(spark, p, k)
         val a = Metrics.rmse(
-          Harness.abaeEstimates(strat, budget, nTrials, AbaeParams(k = k), 555L + k), truth)
+          Harness.abaeEstimates(strat, StudyBudget, nTrials, AbaeParams(k = k), 555L + k), truth)
         KCell(p.name, k, a, unif)
       }
     }
@@ -177,20 +174,15 @@ object CoreFigures {
   /** Sensitivity to the Stage-1 budget fraction C. */
   final case class CCell(dataset: String, c: Double, abaeRmse: Double, unifRmse: Double)
 
-  def fig11(
-      spark: SparkSession,
-      nTrials: Int,
-      cs: Seq[Double] = Seq(0.1, 0.3, 0.5, 0.7, 0.9),
-      budget: Int = 10000,
-  ): Vector[CCell] =
+  def fig11(spark: SparkSession, nTrials: Int): Vector[CCell] =
     Datasets.all.toVector.flatMap { p =>
       val rec = Harness.records(spark, p)
       val strat = Harness.stratified(spark, p, 5)
       val truth = rec.truth
-      val unif = Metrics.rmse(Harness.uniformEstimates(rec, budget, nTrials, 666L), truth)
-      cs.map { c =>
+      val unif = Metrics.rmse(Harness.uniformEstimates(rec, StudyBudget, nTrials, 666L), truth)
+      Seq(0.1, 0.3, 0.5, 0.7, 0.9).map { c =>
         val a = Metrics.rmse(
-          Harness.abaeEstimates(strat, budget, nTrials,
+          Harness.abaeEstimates(strat, StudyBudget, nTrials,
             AbaeParams(k = 5, stage1Frac = c), 777L + (c * 10).toInt), truth)
         CCell(p.name, c, a, unif)
       }

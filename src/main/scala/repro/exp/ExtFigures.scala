@@ -29,20 +29,15 @@ object ExtFigures {
       name -> Harness.memo("multipred", name)(
         MultiPred.lower(And(Pred(a), Pred(b)), ExtDatasets.collectMultiPred(df, Vector(a, b))))
     Vector(
-      lowered("night-street(cars&red)", ExtDatasets.nightStreetMultiPred(spark, Harness.sf), "cars", "red"),
-      lowered("synthetic(2-pred)",
-        ExtDatasets.syntheticMultiPred(spark, rows = math.max(1000L, (100000 * Harness.sf).toLong)), "a", "b"))
+      lowered("night-street(cars&red)", ExtDatasets.nightStreetMultiPred(spark), "cars", "red"),
+      lowered("synthetic(2-pred)", ExtDatasets.syntheticMultiPred(spark), "a", "b"))
   }
 
-  def fig6(
-      spark: SparkSession,
-      nTrials: Int,
-      budgets: Seq[Int] = CoreFigures.PaperBudgets,
-  ): Vector[MultiPredCell] =
+  def fig6(spark: SparkSession, nTrials: Int): Vector[MultiPredCell] =
     multiPredDatasets(spark).flatMap { case (name, rec) =>
       val strat = StratifiedLocal(rec, DefaultParams.k)
       val truth = rec.truth
-      budgets.map { b =>
+      CoreFigures.PaperBudgets.map { b =>
         val a = Metrics.rmse(
           Harness.abaeEstimates(strat, b, nTrials, DefaultParams, 10L * b), truth)
         val u = Metrics.rmse(Harness.uniformEstimates(rec, b, nTrials, 20L * b), truth)
@@ -61,17 +56,13 @@ object ExtFigures {
 
   private def groupByDataset(spark: SparkSession, key: String): GroupedRecords =
     Harness.memo("groupby", key) {
-      val rows = math.max(1000L, (200000 * Harness.sf).toLong)
       key match {
         case "celeba(hair)" =>
-          ExtDatasets.collectGrouped(
-            ExtDatasets.celebaGroupBy(spark, Harness.sf), Vector("gray", "blond"))
+          ExtDatasets.collectGrouped(ExtDatasets.celebaGroupBy(spark), Vector("gray", "blond"))
         case "synthetic(3.3-3.5%)" =>
-          ExtDatasets.collectGrouped(
-            ExtDatasets.syntheticGroupBySingle(spark, rows = rows), Vector("g1", "g2", "g3", "g4"))
+          ExtDatasets.collectGrouped(ExtDatasets.syntheticGroupBySingle(spark), Vector("g1", "g2", "g3", "g4"))
         case "synthetic(16/12/9/5%)" =>
-          ExtDatasets.collectGrouped(
-            ExtDatasets.syntheticGroupByMulti(spark, rows = rows), Vector("g1", "g2", "g3", "g4"))
+          ExtDatasets.collectGrouped(ExtDatasets.syntheticGroupByMulti(spark), Vector("g1", "g2", "g3", "g4"))
       }
     }
 
@@ -145,28 +136,22 @@ object ExtFigures {
     Harness.memo("combine", key) {
       key match {
         case "trec05p(keywords)" =>
-          ExtDatasets.collectMultiProxy(ExtDatasets.trec05pMultiProxy(spark, Harness.sf),
+          ExtDatasets.collectMultiProxy(ExtDatasets.trec05pMultiProxy(spark),
             Vector("proxy_kw1", "proxy_kw2", "proxy_kw3", "proxy_junk"))
         case "synthetic(noisy-theta)" =>
-          ExtDatasets.collectMultiProxy(
-            ExtDatasets.syntheticMultiProxy(spark,
-              rows = math.max(1000L, (100000 * Harness.sf).toLong)),
+          ExtDatasets.collectMultiProxy(ExtDatasets.syntheticMultiProxy(spark),
             Vector("proxy_p1", "proxy_p2", "proxy_p3"))
       }
     }
 
-  def fig12(
-      spark: SparkSession,
-      nTrials: Int,
-      budgets: Seq[Int] = Seq(2000, 6000, 10000),
-  ): Vector[CombineCell] =
+  def fig12(spark: SparkSession, nTrials: Int): Vector[CombineCell] =
     Vector("trec05p(keywords)", "synthetic(noisy-theta)").flatMap { key =>
       val (positive, stat, proxies) = combineDataset(spark, key)
       val rec0 = LocalRecords(proxies.head, positive, stat)
       val truth = rec0.truth
       val strata = proxies.map(pr => StratifiedLocal(LocalRecords(pr, positive, stat), DefaultParams.k))
       // Per-proxy single-proxy ABAE RMSE; best/worst reported.
-      budgets.map { b =>
+      Seq(2000, 6000, 10000).map { b =>
         val singles = strata.zipWithIndex.map { case (strat, j) =>
           Metrics.rmse(
             Harness.abaeEstimates(strat, b, nTrials, DefaultParams, 80L * b + j), truth)

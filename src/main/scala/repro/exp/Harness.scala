@@ -12,8 +12,8 @@ import repro.metrics.Metrics
   * same algorithm as the Spark engine (tested identical), with the cost
   * unit (oracle calls) charged by [[repro.data.Oracle]].
   *
-  * Knobs (environment): `ABAE_BENCH_TRIALS` scales every trial count,
-  * `ABAE_BENCH_SF` scales dataset sizes (1.0 = paper sizes).
+  * Knob (environment): `ABAE_BENCH_TRIALS` scales every trial count.
+  * Datasets are built at the paper's sizes.
   */
 object Harness {
 
@@ -23,22 +23,20 @@ object Harness {
     math.max(10, math.round(default * scale).toInt)
   }
 
-  def sf: Double = sys.env.get("ABAE_BENCH_SF").map(_.toDouble).getOrElse(1.0)
-
   // ------------------------------------------------------------- data memo
 
-  private val built = scala.collection.mutable.Map.empty[(String, Any, Double), Any]
+  private val built = scala.collection.mutable.Map.empty[(String, Any), Any]
 
-  /** `build` once per (kind, key, [[sf]]) per JVM. The kind names what is
+  /** `build` once per (kind, key) per JVM. The kind names what is
     * built ("records", "strata", "groupby", …), so two datasets that share
     * a key under different kinds never collide.
     */
   def memo[A](kind: String, key: Any)(build: => A): A =
-    built.getOrElseUpdate((kind, key, sf), build).asInstanceOf[A]
+    built.getOrElseUpdate((kind, key), build).asInstanceOf[A]
 
-  /** A profile generated and collected at [[sf]]. */
+  /** A profile generated and collected at the paper's size. */
   def records(spark: SparkSession, profile: Datasets.Profile): LocalRecords =
-    memo("records", profile.name)(Datasets.local(spark, profile, sf))
+    memo("records", profile.name)(Datasets.local(spark, profile))
 
   def stratified(spark: SparkSession, profile: Datasets.Profile, k: Int): StratifiedLocal =
     memo("strata", (profile.name, k))(StratifiedLocal(records(spark, profile), k))

@@ -34,7 +34,10 @@ package repro.ml
   * 0, and `fit` returns at the iteration cap with |b| ≈ 51: `predictProb`
   * is that label's value to within 1e-20 on every input.
   */
-final class LogisticRegression(val lambda: Double = 1e-4) {
+final class LogisticRegression {
+
+  /** The L2 penalty weight λ. */
+  val lambda: Double = 1e-4
 
   /** Fitted model: standardization parameters plus weights and bias. */
   final case class Model(

@@ -3,6 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.data.{ExtDatasets, GroupedRecords}
 import repro.metrics.Metrics
+import repro.sampling.{PermutationSampler, Rng}
 import scala.util.Random
 
 class GroupBySpec extends SparkSpec {
@@ -79,6 +80,25 @@ class GroupBySpec extends SparkSpec {
     assert(res.oracleCalls == 20000)
     res.estimates.zip(data.truth).foreach { case (e, t) =>
       assert(math.abs(e - t) < 0.2, s"est=$e truth=$t")
+    }
+  }
+
+  test("uniformSingleOracle gives 0.0 to a group it samples no member of") {
+    // The baseline draws `budget` records from stream 7 of its seed; every
+    // record outside that sample belongs to group 2.
+    val n = 300
+    val drawn = new PermutationSampler(n, Rng.stream(9L, 7)).next(40)
+    val inSample = drawn.toSet
+    val rng = new Random(10)
+    val group = Array.tabulate(n)(i => if (inSample(i)) Seq(0, 1, -1)(i % 3) else 2)
+    val stat = Array.fill(n)(rng.nextGaussian())
+    val rec = GroupedRecords(Vector("a", "b", "c"), Vector.fill(3)(Array.fill(n)(0.5)), group, stat)
+    val res = uniformSingleOracle(rec, budget = 40, seed = 9L)
+    assert(res.estimates(2) == 0.0)
+    for (j <- 0 to 1) {
+      val members = drawn.filter(group(_) == j).map(stat)
+      assert(members.nonEmpty)
+      assert(res.estimates(j) == members.sum / members.length, s"group $j")
     }
   }
 

@@ -60,7 +60,7 @@ class UniformSamplingSpec extends AnyFunSuite {
 
   test("ci from bootstrap brackets the estimate") {
     val res = UniformSampling.run(records, 1000, 7)
-    val ci = UniformSampling.ci(res, beta = 300, alpha = 0.05, new Random(8))
+    val ci = Bootstrap.ci(Seq(res.draws), beta = 300, alpha = 0.05, new Random(8))
     assert(ci.contains(res.estimate))
   }
 }
