@@ -41,14 +41,13 @@ final case class AbaeResult(
 
 /** Algorithm 1 — ABAE's two-stage stratified sampler (local engine).
   *
-  * The engine is data-agnostic: it sees only an oracle
-  * `(stratum, index) → (matches, statistic)` and one without-replacement
-  * [[StratumSampler]] per stratum, which carries its stratum's population.
-  * A sampler remembers its draws, so Stage 2 extends Stage 1's sample
-  * exactly as in the pseudocode
-  * (`R_k^(2) ← R_k^(1) + SampleFn(S_k, ⌊N_2·T̂_k⌋)`). The lower-level
-  * `run` takes the stratum sizes |S_k| and requires each stratum's sampler
-  * to draw from a population of exactly |S_k| records. Both engines' seeded
+  * The engine is data-agnostic: it sees one without-replacement
+  * [[StratumSampler]] per stratum, which carries its stratum's population,
+  * and a batch oracle `label(s, idx)` that labels positions `idx` of
+  * stratum `s` (matches, statistic), charging one call each. It calls the
+  * oracle once per stage and stratum. A sampler remembers its draws, so
+  * Stage 2 extends Stage 1's sample exactly as in the pseudocode
+  * (`R_k^(2) ← R_k^(1) + SampleFn(S_k, ⌊N_2·T̂_k⌋)`). Both engines' seeded
   * entry points pass it the same [[samplers]], so one seed draws the same
   * records on either engine.
   */
@@ -58,6 +57,30 @@ object Abae {
   def stage1PerStratum(budget: Int, params: AbaeParams): Int =
     math.max(1, (budget * params.stage1Frac).toInt / params.k)
 
+  def run(
+      samplers: Vector[StratumSampler],
+      label: (Int, Array[Int]) => StratumDraws,
+      budget: Int,
+      params: AbaeParams,
+  ): AbaeResult = {
+    val k = params.k
+    require(samplers.length == k, "need one sampler per stratum")
+    require(budget >= 2 * k, s"budget $budget too small for $k strata")
+
+    val n1 = stage1PerStratum(budget, params)
+    def drawFrom(stratum: Int, count: Int): StratumDraws = label(stratum, samplers(stratum).next(count))
+
+    // Stage 1: N1 uniform draws per stratum; Stage 2 spends the rest.
+    val pilot = Vector.tabulate(k)(s => drawFrom(s, n1))
+    finish(pilot, budget - pilot.map(_.n).sum, drawFrom, params.reuse)
+  }
+
+  /** [[run]] through a per-record oracle `(stratum, index) → (matches,
+    * statistic)`, given the stratum sizes |S_k|: each stratum's sampler
+    * must draw from a population of exactly |S_k| records. A per-call
+    * adapter that serves only perfbench's traced run, which wraps the
+    * oracle to time each call.
+    */
   def run(
       sizes: Vector[Int],
       oracle: (Int, Int) => (Boolean, Double),
@@ -70,15 +93,7 @@ object Abae {
     for (s <- 0 until k)
       require(samplers(s).populationSize == sizes(s),
         s"stratum $s has ${sizes(s)} records but its sampler draws from ${samplers(s).populationSize}")
-    require(budget >= 2 * k, s"budget $budget too small for $k strata")
-
-    val n1 = stage1PerStratum(budget, params)
-    def drawFrom(stratum: Int, count: Int): StratumDraws =
-      StratumDraws.label(samplers(stratum).next(count), oracle(stratum, _))
-
-    // Stage 1: N1 uniform draws per stratum; Stage 2 spends the rest.
-    val pilot = Vector.tabulate(k)(s => drawFrom(s, n1))
-    finish(pilot, budget - pilot.map(_.n).sum, drawFrom, params.reuse)
+    run(samplers, (s, idx) => StratumDraws.label(idx, oracle(s, _)), budget, params)
   }
 
   /** Algorithm 1 after the pilot: T̂_k ∝ √p̂_k σ̂_k (pooled-σ̂ repaired),
@@ -118,6 +133,6 @@ object Abae {
       seed: Long,
   ): AbaeResult = {
     require(data.k == params.k, s"data has ${data.k} strata, params want ${params.k}")
-    run(data.sizes, oracle.query _, samplers(data.sizes, seed), budget, params)
+    run(samplers(data.sizes, seed), oracle.label _, budget, params)
   }
 }

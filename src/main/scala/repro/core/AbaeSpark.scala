@@ -3,7 +3,7 @@ package repro.core
 import scala.language.implicitConversions
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.StructType
-import repro.data.{IdColumns, Stratification}
+import repro.data.{IdColumns, PredicateOracle, Stratification}
 
 /** ABAE's Spark engine over a dataset with columns
   * `(id, proxy, positive, stat)`: one Spark job scans the columns to the
@@ -20,18 +20,23 @@ import repro.data.{IdColumns, Stratification}
   *
   * Accounting: the scanned columns include `positive`/`stat`, as the local
   * engine's records do (the cost modeled is oracle calls, not dataflow),
-  * but the algorithm reads them only through an oracle that charges one
-  * call per row it serves. `sampled` holds exactly the served rows, so its
-  * row count equals `oracleCalls`; a row's `rk` is its draw number in its
-  * stratum, so `rk ≤ N1` selects Stage 1.
+  * but the algorithm reads them only through one [[PredicateOracle]],
+  * which charges one call per row it serves, one batch per stage and
+  * stratum. `sampled` holds exactly the served rows, so its row count
+  * equals `oracleCalls`; a row's `rk` is its draw number in its stratum,
+  * so `rk ≤ N1` selects Stage 1.
   *
   * Memory: the driver keeps about 29 bytes per row of `df` while a query
   * runs (the columns and the stratification order; the samplers add one
-  * bit per row), and a query allocates 310–330 bytes per row on the way.
-  * On night-street (budget 10000, K=5, `local[4]`, 4 vCPU) a query
-  * allocated 322 MB at SF 1 (973k rows) and 1.2 GB at SF 4 (3.9M rows),
-  * and driver heap peaked 1.46 GB above its pre-query level at SF 4, so
-  * the driver's heap must grow with the table.
+  * bit per row), and a query allocates about 305–330 bytes per row on the
+  * way. Measured on cached night-street (budget 10000, K=5, `local[4]`,
+  * 8 GB driver heap, 4 vCPU, warm queries), with the allocation read from
+  * `ThreadMXBean` over all threads and the heap peak summed over each heap
+  * pool's own peak (an upper bound): at SF 1 (973k rows) a query allocated
+  * 321 MB (330 B/row) and heap peaked 204–328 MB above its pre-query
+  * level; at SF 4 (3.9M rows), 1.20 GB (309 B/row) and 0.88–1.10 GB. So
+  * the driver's heap must grow with the table; ROADMAP item 4 has these
+  * numbers and SF 16's.
   */
 object AbaeSpark {
 
@@ -56,19 +61,26 @@ object AbaeSpark {
     val t = IdColumns.collect(df)
     val strat = Stratification(t.proxy, params.k)
 
+    // One oracle over the scanned columns, read through the stratification.
+    // Each served row is checked and kept, in the order served, for `sampled`.
+    val oracle = new PredicateOracle(t.positive, t.stat)
     val served = new java.util.ArrayList[Row]()
     val drawn = new Array[Int](params.k)
-    def oracle(s: Int, j: Int): (Boolean, Double) = {
-      val r = strat.record(s, j)
-      val (positive, stat) = (t.positive(r), t.stat(r))
-      require(!positive || java.lang.Double.isFinite(stat),
-        s"stat has a non-finite value ($stat) at id ${t.id(r)}, a positive row")
-      drawn(s) += 1
-      served.add(Row(t.id(r), s + 1, drawn(s), positive, stat))
-      (positive, stat)
+    def label(s: Int, idx: Array[Int]): StratumDraws = {
+      val d = oracle.label(strat, s, idx)
+      var i = 0
+      while (i < d.n) {
+        val id = t.id(strat.record(s, idx(i)))
+        require(!d.flags(i) || java.lang.Double.isFinite(d.stats(i)),
+          s"stat has a non-finite value (${d.stats(i)}) at id $id, a positive row")
+        drawn(s) += 1
+        served.add(Row(id, s + 1, drawn(s), d.flags(i), d.stats(i)))
+        i += 1
+      }
+      d
     }
     val sizes = Vector.tabulate(params.k)(strat.size)
-    val result = Abae.run(sizes, oracle _, Abae.samplers(sizes, seed), budget, params)
+    val result = Abae.run(Abae.samplers(sizes, seed), label _, budget, params)
     SparkResult(result, df.sparkSession.createDataFrame(served, SampledSchema))
   }
 }

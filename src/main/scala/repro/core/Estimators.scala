@@ -40,7 +40,10 @@ final case class StratumDraws(flags: Array[Boolean], stats: Array[Double]) {
 object StratumDraws {
   val empty: StratumDraws = StratumDraws(Array.emptyBooleanArray, Array.emptyDoubleArray)
 
-  /** Label the records `idx` through `oracle`, one call each, in order. */
+  /** Label the records `idx` through `oracle`, one call each, in order. A
+    * per-call adapter that serves only perfbench's traced run; the kernels
+    * label through [[repro.data.PredicateOracle.label]].
+    */
   def label(idx: Array[Int], oracle: Int => (Boolean, Double)): StratumDraws = {
     val flags = new Array[Boolean](idx.length)
     val stats = new Array[Double](idx.length)
@@ -60,14 +63,30 @@ object StratumDraws {
     */
   def byStratum(strat: Stratification, idx: Array[Int], d: StratumDraws): Vector[StratumDraws] = {
     require(idx.length == d.n, "indices/draws length mismatch")
+    byStratum(strat, idx, d.flags, d.stats, d.n)
+  }
+
+  /** [[byStratum]] over the first `n` draws of aligned arrays, which may be
+    * longer.
+    */
+  def byStratum(strat: Stratification, idx: Array[Int], flags: Array[Boolean], stats: Array[Double],
+      n: Int): Vector[StratumDraws] = {
     val stratumOf = strat.stratumOf
-    val members = Array.fill(strat.k)(Array.newBuilder[Int])
+    val counts = new Array[Int](strat.k)
     var j = 0
-    while (j < idx.length) { members(stratumOf(idx(j))) += j; j += 1 }
-    members.iterator.map { b =>
-      val js = b.result()
-      StratumDraws(js.map(d.flags), js.map(d.stats))
-    }.toVector
+    while (j < n) { counts(stratumOf(idx(j))) += 1; j += 1 }
+    val out = Array.tabulate(strat.k)(s => StratumDraws(new Array[Boolean](counts(s)), new Array[Double](counts(s))))
+    java.util.Arrays.fill(counts, 0)
+    j = 0
+    while (j < n) {
+      val s = stratumOf(idx(j))
+      val c = counts(s)
+      out(s).flags(c) = flags(j)
+      out(s).stats(c) = stats(j)
+      counts(s) = c + 1
+      j += 1
+    }
+    out.toVector
   }
 }
 

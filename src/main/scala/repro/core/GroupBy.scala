@@ -1,9 +1,8 @@
 package repro.core
 
 import java.util.BitSet
-import repro.data.{GroupedRecords, Oracle}
+import repro.data.{GroupedRecords, KeyOracle, PredicateOracle}
 import repro.sampling.{PermutationSampler, Rng}
-import scala.collection.mutable.ArrayBuffer
 
 /** ABAE-GroupBy (§3.2, §4.5): minimax-error sample allocation across the
   * per-group stratifications (Eqs. 10 and 11), solved exactly by
@@ -31,14 +30,13 @@ object GroupBy {
   /** §3.2, scenario 1: one oracle labels a record's group key directly,
     * revealing (group key in 0..G-1 or -1, statistic).
     */
-  private[core] def keyOracle(data: GroupedRecords): Oracle[(Int, Double)] =
-    new Oracle(i => (data.group(i), data.stat(i)))
+  private[core] def keyOracle(data: GroupedRecords): KeyOracle = new KeyOracle(data.group, data.stat)
 
   /** §3.2, scenario 2: oracle g only reveals whether a record belongs to
     * group g (and its statistic). The charge is the sum of their calls.
     */
-  private[core] def memberOracles(data: GroupedRecords): Vector[Oracle[(Boolean, Double)]] =
-    Vector.tabulate(data.g)(g => new Oracle(i => (data.group(i) == g, data.stat(i))))
+  private[core] def memberOracles(data: GroupedRecords): Vector[PredicateOracle] =
+    Vector.tabulate(data.g)(g => PredicateOracle.member(data.group, g, data.stat))
 
   /** Λ-free part of the estimated MSE of group g's estimator from
     * stratification l (the inner sum of Eqs. 10–11): Prop. 2's
@@ -49,11 +47,15 @@ object GroupBy {
   def baseVariance(cells: IndexedSeq[StratumEstimates], tHat: Array[Double]): Double =
     math.max(Estimators.allocationMse(cells.map(_.pHat).toArray, cells.map(_.sigmaHat).toArray, tHat, 1.0), VarFloor)
 
-  /** Group g's view of draws labeled (group key, statistic): a draw is
-    * positive when its key is g.
+  /** Group g's flags over the first `n` draws labeled with group `keys`: a
+    * draw is positive when its key is g.
     */
-  private def members(labels: Array[(Int, Double)], g: Int): StratumDraws =
-    StratumDraws(labels.map(_._1 == g), labels.map(_._2))
+  private def memberFlags(keys: Array[Int], n: Int, g: Int): Array[Boolean] = {
+    val flags = new Array[Boolean](n)
+    var j = 0
+    while (j < n) { flags(j) = keys(j) == g; j += 1 }
+    flags
+  }
 
   // ---------------------------------------------------------- minimax Λ
 
@@ -189,16 +191,22 @@ object GroupBy {
     val oracle = keyOracle(data)
     val rng = Rng.stream(seed, 0)
 
-    // Every labeled record and its (group key, statistic), in draw order,
-    // and the set of labeled records. A record drawn once is drawn in every
-    // stratification.
-    val labeled = ArrayBuffer.empty[Int]
-    val labels = ArrayBuffer.empty[(Int, Double)]
+    // The first `m` entries hold every labeled record and its group key and
+    // statistic, in draw order; `taken` is the set of labeled records. A
+    // record drawn once is drawn in every stratification. No record is
+    // drawn twice, and the draws never exceed the budget.
+    val cap = math.min(budget, n)
+    val labeled = new Array[Int](cap)
+    val keys = new Array[Int](cap)
+    val stats = new Array[Double](cap)
+    var m = 0
     val taken = new BitSet(n)
-    def label(idx: Array[Int]): Unit = idx.foreach { i =>
-      labeled += i
-      labels += oracle.query(i)
-      taken.set(i)
+    def label(idx: Array[Int]): Unit = {
+      oracle.label(idx, keys, stats, m)
+      System.arraycopy(idx, 0, labeled, m, idx.length)
+      m += idx.length
+      var i = 0
+      while (i < idx.length) { taken.set(idx(i)); i += 1 }
     }
 
     // Stage 1: one global uniform sample, visible to every stratification.
@@ -207,7 +215,7 @@ object GroupBy {
 
     // Per-cell estimates of group l from its own stratification l.
     def cellEst(l: Int): Vector[StratumEstimates] =
-      StratumDraws.byStratum(strata(l), labeled.toArray, members(labels.toArray, l)).map(Estimators.fromDraws)
+      StratumDraws.byStratum(strata(l), labeled, memberFlags(keys, m, l), stats, m).map(Estimators.fromDraws)
 
     // Within-stratification allocation: optimal for the stratification's
     // own group (T̂_{l,k} from p̂_{l,l,k}, σ̂_{l,l,k}, pooled-σ̂ repaired).
@@ -248,9 +256,9 @@ object GroupBy {
     // any cell of an independent stratification l'.
     val budgets = Estimators.stage2Sizes(n2, lambdas)
     for (l <- 0 until g) {
-      val m = Estimators.stage2Sizes(budgets(l), tHat(l))
+      val sizes = Estimators.stage2Sizes(budgets(l), tHat(l))
       for (s <- 0 until k)
-        label(PermutationSampler.excluding(strata(l), s, taken, rng).next(m(s)))
+        label(PermutationSampler.excluding(strata(l), s, taken, rng).next(sizes(s)))
     }
 
     // Final: group g is estimated from its own stratification, whose
@@ -286,7 +294,7 @@ object GroupBy {
       new PermutationSampler(strata(l).size(s), Rng.stream(seed, l.toLong * k + s + 1)))
 
     def draw(l: Int, s: Int, m: Int): StratumDraws =
-      StratumDraws.label(samplers(l)(s).next(m), j => oracles(l).query(strata(l).record(s, j)))
+      oracles(l).label(strata(l), s, samplers(l)(s).next(m))
 
     // Stage 1: N1/(G·K) per cell, each group charged to its own oracle.
     val n1cell = math.max(1, (budget * params.stage1Frac).toInt / (g * k))
@@ -312,9 +320,12 @@ object GroupBy {
     */
   def uniformSingleOracle(data: GroupedRecords, budget: Int, seed: Long): GroupByResult = {
     val oracle = keyOracle(data)
-    val labels = new PermutationSampler(data.n, Rng.stream(seed, 7)).next(budget).map(oracle.query)
+    val idx = new PermutationSampler(data.n, Rng.stream(seed, 7)).next(budget)
+    val keys = new Array[Int](idx.length)
+    val stats = new Array[Double](idx.length)
+    oracle.label(idx, keys, stats, 0)
     GroupByResult(
-      Vector.tabulate(data.g)(j => Estimators.fromDraws(members(labels, j)).muHat),
+      Vector.tabulate(data.g)(j => Estimators.fromDraws(StratumDraws(memberFlags(keys, idx.length, j), stats)).muHat),
       Array.fill(data.g)(1.0 / data.g),
       oracle.calls)
   }
@@ -326,7 +337,7 @@ object GroupBy {
     val oracles = memberOracles(data)
     val per = budget / data.g
     val estimates = Vector.tabulate(data.g) { l =>
-      UniformSampling.run(data.n, oracles(l).query, per, Rng.stream(seed, 100 + l)).estimate
+      UniformSampling.draw(data.n, oracles(l), per, Rng.stream(seed, 100 + l)).estimate
     }
     GroupByResult(estimates, Array.fill(data.g)(1.0 / data.g), oracles.map(_.calls).sum)
   }

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.BitSet
-import repro.data.{Oracle, Stratification}
+import repro.data.{PredicateOracle, Stratification}
 import repro.ml.LogisticRegression
 import repro.sampling.{PermutationSampler, Rng}
 
@@ -115,13 +115,13 @@ object ProxyCombiner {
       require(col.length == n, s"proxy $j has ${col.length} values for $n records")
     }
     val rng = Rng.stream(seed, 13)
-    val oracle = new Oracle(i => (positive(i), stat(i)))
+    val oracle = new PredicateOracle(positive, stat)
 
     // Stage 1: uniform pilot, labels both train the combiner and seed the
     // per-stratum estimates.
     val n1 = math.max(k * 2, (budget * params.stage1Frac).toInt)
     val pilotIdx = new PermutationSampler(n, rng).next(n1)
-    val pilot = StratumDraws.label(pilotIdx, oracle.query)
+    val pilot = oracle.label(pilotIdx)
 
     // A pilot of one label class has nothing to fit: every record scores
     // the same, so the strata below are index ranges.
@@ -139,7 +139,7 @@ object ProxyCombiner {
     val taken = new BitSet(n)
     pilotIdx.foreach(taken.set)
     def draw(s: Int, m: Int): StratumDraws =
-      StratumDraws.label(PermutationSampler.excluding(strat, s, taken, rng).next(m), oracle.query)
+      oracle.label(PermutationSampler.excluding(strat, s, taken, rng).next(m))
     val res = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot), budget - n1, draw)
     CombinedResult(res.estimate, oracle.calls, model)
   }

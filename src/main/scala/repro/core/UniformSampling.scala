@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.data.{LocalRecords, Oracle}
+import repro.data.{LocalRecords, PredicateOracle}
 import repro.sampling.{PermutationSampler, Rng}
 import scala.util.Random
 
@@ -13,13 +13,19 @@ object UniformSampling {
 
   final case class Result(estimate: Double, draws: StratumDraws, oracleCalls: Long)
 
-  def run(records: LocalRecords, budget: Int, seed: Long): Result = {
-    val oracle = new Oracle(i => (records.positive(i), records.stat(i)))
-    run(records.n, oracle.query, budget, Rng.stream(seed, Long.MaxValue / 3))
-  }
+  def run(records: LocalRecords, budget: Int, seed: Long): Result =
+    draw(records.n, new PredicateOracle(records.positive, records.stat), budget, Rng.stream(seed, Long.MaxValue / 3))
 
-  def run(n: Int, oracle: Int => (Boolean, Double), budget: Int, rng: Random): Result = {
-    val d = StratumDraws.label(new PermutationSampler(n, rng).next(budget), oracle)
-    Result(Estimators.fromDraws(d).muHat, d, d.n.toLong)
-  }
+  /** Label `budget` uniform draws from records `0 until n` in one call. */
+  private[core] def draw(n: Int, oracle: PredicateOracle, budget: Int, rng: Random): Result =
+    result(oracle.label(new PermutationSampler(n, rng).next(budget)))
+
+  /** The same draws labelled one call at a time through `oracle`. A
+    * per-call adapter that serves only perfbench's traced run, which wraps
+    * the oracle to time each call.
+    */
+  def run(n: Int, oracle: Int => (Boolean, Double), budget: Int, rng: Random): Result =
+    result(StratumDraws.label(new PermutationSampler(n, rng).next(budget), oracle))
+
+  private def result(d: StratumDraws): Result = Result(Estimators.fromDraws(d).muHat, d, d.n.toLong)
 }

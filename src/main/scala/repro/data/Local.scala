@@ -1,6 +1,7 @@
 package repro.data
 
 import scala.collection.mutable.ArrayBuilder
+import repro.core.StratumDraws
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
 
@@ -281,30 +282,99 @@ object Stratification {
 }
 
 /** The metered oracle, the program's only count of the paper's cost unit:
-  * each `query(i)` charges one call, repeats included, and returns
-  * `reveal(i)`. A predicate reveals `(matches, statistic)`; a group key
-  * reveals `(group key in 0..G-1 or -1, statistic)`. There is no label
-  * cache: callers keep the labels they need again.
+  * each label charges one call, repeats included. A predicate reveals
+  * `(matches, statistic)`; a group key reveals `(group key in 0..G-1 or
+  * -1, statistic)`. There is no label cache: callers keep the labels they
+  * need again.
+  *
+  * The kernels label through the batch calls of [[PredicateOracle]] and
+  * [[KeyOracle]], which read the hidden columns in one loop.
   */
 class Oracle[L](reveal: Int => L) {
   private var invocations: Long = 0L
   def calls: Long = invocations
+
+  /** One label, one call, through `reveal`. A per-call adapter that serves
+    * only perfbench's traced run, which wraps it to time each call.
+    */
   def query(i: Int): L = { invocations += 1; reveal(i) }
+
+  /** Charge a batch of `n` calls. */
+  protected final def charge(n: Int): Unit = invocations += n
 }
 
-/** [[Oracle]] over the whole record array, revealing (matches, statistic).
-  * An adapter that counts nothing itself, kept because perfbench builds it.
+/** A predicate oracle over hidden columns: record `r` matches when
+  * `positive(r)`, or, for a [[PredicateOracle.member]] view of a group-key
+  * column, when `key(r) == g`; either way it reveals `stat(r)`.
   */
-final class FlatOracle(records: LocalRecords)
-    extends Oracle[(Boolean, Double)](i => (records.positive(i), records.stat(i)))
+class PredicateOracle private (positive: Array[Boolean], key: Array[Int], g: Int, stat: Array[Double])
+    extends Oracle[(Boolean, Double)](r => (if (key eq null) positive(r) else key(r) == g, stat(r))) {
 
-/** One [[Oracle]] per stratum: `query(k, i)` evaluates the predicate (and
-  * reveals the statistic) for record `i` of stratum `k`, and `calls` is
-  * their sum. An adapter that counts nothing itself, kept because perfbench
-  * builds it and passes it to `Abae.run(data, oracle, …)`.
+  def this(positive: Array[Boolean], stat: Array[Double]) = this(positive, null, -1, stat)
+
+  /** Label the records `idx` in order, one call each. */
+  def label(idx: Array[Int]): StratumDraws = label(null, 0, idx)
+
+  /** Label positions `idx` of stratum `s` of `strat` in order, one call
+    * each: position `j` is record `strat.record(s, j)`.
+    */
+  def label(strat: Stratification, s: Int, idx: Array[Int]): StratumDraws = {
+    charge(idx.length)
+    val flags = new Array[Boolean](idx.length)
+    val stats = new Array[Double](idx.length)
+    var i = 0
+    while (i < idx.length) {
+      val r = if (strat eq null) idx(i) else strat.record(s, idx(i))
+      flags(i) = if (key eq null) positive(r) else key(r) == g
+      stats(i) = stat(r)
+      i += 1
+    }
+    StratumDraws(flags, stats)
+  }
+}
+
+object PredicateOracle {
+  /** The oracle for "is the record in group `g`" over a group-key column. */
+  def member(key: Array[Int], g: Int, stat: Array[Double]): PredicateOracle =
+    new PredicateOracle(null, key, g, stat)
+}
+
+/** A group-key oracle over hidden columns: record `r` reveals
+  * `(key(r), stat(r))`.
+  */
+final class KeyOracle(key: Array[Int], stat: Array[Double]) extends Oracle[(Int, Double)](r => (key(r), stat(r))) {
+  /** Label the records `idx` in order, one call each, into `keys` and
+    * `stats` from position `at`.
+    */
+  def label(idx: Array[Int], keys: Array[Int], stats: Array[Double], at: Int): Unit = {
+    charge(idx.length)
+    var i = 0
+    while (i < idx.length) {
+      keys(at + i) = key(idx(i))
+      stats(at + i) = stat(idx(i))
+      i += 1
+    }
+  }
+}
+
+/** [[PredicateOracle]] over the whole record array. An adapter kept because
+  * perfbench's traced run builds it and wraps its `query`.
+  */
+final class FlatOracle(records: LocalRecords) extends PredicateOracle(records.positive, records.stat)
+
+/** One [[PredicateOracle]] per stratum, and `calls` is their sum. An
+  * adapter that counts nothing itself, kept because perfbench builds it
+  * and passes it to `Abae.run(data, oracle, …)`.
   */
 final class CountingOracle(data: StratifiedLocal) {
-  private val strata = data.strata.map(s => new Oracle(i => (s.positive(i), s.stat(i))))
+  private val strata = data.strata.map(s => new PredicateOracle(s.positive, s.stat))
   def calls: Long = strata.map(_.calls).sum
+
+  /** Record `i` of stratum `k`, one call. A per-call adapter that serves
+    * only perfbench's traced run.
+    */
   def query(k: Int, i: Int): (Boolean, Double) = strata(k).query(i)
+
+  /** Label records `idx` of stratum `k` in order, one call each. */
+  def label(k: Int, idx: Array[Int]): StratumDraws = strata(k).label(idx)
 }

@@ -1,7 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.{CountingOracle, LocalRecords, StratifiedLocal}
+import repro.data.{CountingOracle, FlatOracle, LocalRecords, StratifiedLocal}
+import repro.sampling.Rng
 import repro.metrics.Metrics
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -180,6 +181,31 @@ class AbaeSpec extends AnyFunSuite {
     }
     assert(e.getMessage.contains("stratum 2"))
     assert(oracle.calls == 0)
+  }
+
+  test("the per-call adapters give the batch path's estimate, draws and charge") {
+    // perfbench's traced run goes through the per-call overloads, its
+    // untraced run through the batch ones, and it fails an op whose two
+    // results differ.
+    def bits(ds: Seq[StratumDraws]) =
+      ds.map(d => (d.flags.toSeq, d.stats.toSeq.map(java.lang.Double.doubleToRawLongBits)))
+    val small = StratifiedLocal(makeRecords(300, 3), 5)
+    for ((rec, strat) <- Seq((records, strat5), (makeRecords(300, 3), small));
+         b <- Seq(10, 1000, 4000); p <- Seq(AbaeParams(), AbaeParams(stage1Frac = 0.2, reuse = false));
+         seed <- 1L to 3L) {
+      val perCall = new CountingOracle(strat)
+      val a = Abae.run(strat.sizes, perCall.query _, Abae.samplers(strat.sizes, seed), b, p)
+      val batch = new CountingOracle(strat)
+      val c = Abae.run(strat, batch, b, p, seed)
+      assert(a.estimate == c.estimate && bits(a.draws) == bits(c.draws), s"Abae.run, budget $b, $p, seed $seed")
+      assert(a.oracleCalls == c.oracleCalls && perCall.calls == batch.calls && batch.calls == c.oracleCalls)
+
+      val flat = new FlatOracle(rec)
+      val u = UniformSampling.run(rec.n, flat.query, b, Rng.stream(seed, Long.MaxValue / 3))
+      val v = UniformSampling.run(rec, b, seed)
+      assert(u.estimate == v.estimate && bits(Seq(u.draws)) == bits(Seq(v.draws)), s"UniformSampling.run, budget $b, seed $seed")
+      assert(u.oracleCalls == v.oracleCalls && flat.calls == v.oracleCalls)
+    }
   }
 
   test("stage1Frac bounds are enforced") {

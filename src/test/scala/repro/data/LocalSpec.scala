@@ -1,6 +1,7 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.StratumDraws
 import scala.util.Random
 
 class LocalSpec extends AnyFunSuite {
@@ -194,6 +195,47 @@ class LocalSpec extends AnyFunSuite {
     o.query(1, 0)
     o.query(1, 0) // repeat queries are still charged
     assert(o.calls == 3)
+  }
+
+  test("batch labels equal query's labels bit for bit and charge one call per index") {
+    val n = 60
+    val rng = new Random(3)
+    val positive = Array.fill(n)(rng.nextBoolean())
+    val key = Array.fill(n)(rng.nextInt(4) - 1)
+    // NaN and −0.0 statistics make the comparison one of bits.
+    val stat = Array.tabulate(n)(i => if (i % 11 == 0) Double.NaN else if (i % 13 == 0) -0.0 else rng.nextGaussian())
+    val strat = Stratification(Array.fill(n)(rng.nextDouble()), 4)
+    val idx = Array(5, 0, 59, 5, 17, 33, 17) // records, with repeats
+    val pos = Array(3, 0, 14, 3, 9)          // positions in stratum 2, with repeats
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+
+    // Each case: a fresh oracle, its batch call, the batch, the records it labels.
+    val predicates = Seq[(String, () => PredicateOracle, (PredicateOracle, Array[Int]) => StratumDraws, Array[Int], Array[Int])](
+      ("records", () => new PredicateOracle(positive, stat), _.label(_), idx, idx),
+      ("stratum", () => new PredicateOracle(positive, stat), _.label(strat, 2, _), pos, pos.map(strat.record(2, _))),
+      ("member", () => PredicateOracle.member(key, 1, stat), _.label(_), idx, idx))
+    for ((name, make, label, in, records) <- predicates) {
+      val o = make()
+      val d = label(o, in)
+      val q = make()
+      val expected = records.map(q.query)
+      assert(d.flags.toSeq == expected.map(_._1).toSeq, name)
+      assert(d.stats.toSeq.map(bits) == expected.map(e => bits(e._2)).toSeq, name)
+      assert(o.calls == in.length && q.calls == in.length, name)
+      assert(label(o, Array.emptyIntArray).n == 0 && o.calls == in.length, s"$name: an empty batch")
+    }
+
+    val o = new KeyOracle(key, stat)
+    val keys = Array.fill(idx.length + 2)(-7)
+    val stats = Array.fill(idx.length + 2)(-7.0)
+    o.label(idx, keys, stats, 2)
+    val q = new KeyOracle(key, stat)
+    val expected = idx.map(q.query)
+    assert(keys.toSeq == Seq(-7, -7) ++ expected.map(_._1))
+    assert(stats.toSeq.map(bits) == (Seq(-7.0, -7.0) ++ expected.map(_._2)).map(bits))
+    assert(o.calls == idx.length)
+    o.label(Array.emptyIntArray, keys, stats, 0)
+    assert(o.calls == idx.length, "key: an empty batch")
   }
 
   test("FlatOracle counts and returns flat-index labels") {
