@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.data.{LocalRecords, MultiPredRecords}
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.functions.{col, greatest, lit, not}
 
 /** Boolean predicate expression over named expensive predicates —
   * ABAE-MultiPred's input (§3.3).
@@ -30,42 +31,37 @@ final case class Or(l: PredExpr, r: PredExpr) extends PredExpr
   * combination is exact when the proxies are perfectly calibrated and
   * sharp; otherwise it degrades gracefully (correctness never depends on
   * proxy quality).
+  *
+  * The rewrite is a Spark projection of a table with columns `id`, `stat`,
+  * `proxy_<name>` and `label_<name>` per predicate.
   */
 object MultiPred {
 
-  /** Combine one record's proxy scores under the expression. */
-  def combineProxy(e: PredExpr, scores: String => Double): Double = e match {
-    case Pred(n)   => scores(n)
-    case Not(x)    => 1.0 - combineProxy(x, scores)
-    case And(l, r) => combineProxy(l, scores) * combineProxy(r, scores)
-    case Or(l, r)  => math.max(combineProxy(l, scores), combineProxy(r, scores))
+  /** The expression's combined proxy score over the `proxy_<name>` columns. */
+  def proxyCol(e: PredExpr): Column = e match {
+    case Pred(n)   => col(s"proxy_$n")
+    case Not(x)    => lit(1.0) - proxyCol(x)
+    case And(l, r) => proxyCol(l) * proxyCol(r)
+    case Or(l, r)  => greatest(proxyCol(l), proxyCol(r))
   }
 
-  /** Ground-truth evaluation of the expression on oracle labels. */
-  def evalOracle(e: PredExpr, labels: String => Boolean): Boolean = e match {
-    case Pred(n)   => labels(n)
-    case Not(x)    => !evalOracle(x, labels)
-    case And(l, r) => evalOracle(l, labels) && evalOracle(r, labels)
-    case Or(l, r)  => evalOracle(l, labels) || evalOracle(r, labels)
+  /** The expression's oracle label over the `label_<name>` columns. */
+  def labelCol(e: PredExpr): Column = e match {
+    case Pred(n)   => col(s"label_$n")
+    case Not(x)    => not(labelCol(x))
+    case And(l, r) => labelCol(l) && labelCol(r)
+    case Or(l, r)  => labelCol(l) || labelCol(r)
   }
 
-  /** Lower a multi-predicate dataset to single-predicate form: combined
-    * proxy score, combined oracle label. One oracle invocation on the
-    * lowered records evaluates the whole expression (the per-predicate
-    * oracles run together on the sampled record).
+  /** Lower a multi-predicate table to the engines' single-predicate
+    * `(id, proxy, positive, stat)`: combined proxy, combined label. One
+    * oracle invocation on a lowered row evaluates the whole expression
+    * (the per-predicate oracles run together on the sampled record).
+    * Rejects an expression over a predicate without both columns, naming it.
     */
-  def lower(e: PredExpr, records: MultiPredRecords): LocalRecords = {
-    val missing = e.names -- records.names.toSet
-    require(missing.isEmpty, s"expression references unknown predicates: $missing")
-    val n = records.n
-    val proxy = new Array[Double](n)
-    val positive = new Array[Boolean](n)
-    var i = 0
-    while (i < n) {
-      proxy(i) = combineProxy(e, nm => records.proxies(nm)(i))
-      positive(i) = evalOracle(e, nm => records.labels(nm)(i))
-      i += 1
-    }
-    LocalRecords(proxy, positive, records.stat.clone())
+  def lower(e: PredExpr, df: DataFrame): DataFrame = {
+    val missing = e.names.filterNot(n => Seq("proxy_", "label_").forall(p => df.columns.contains(p + n)))
+    require(missing.isEmpty, s"expression references unknown predicates: ${missing.mkString(", ")}")
+    df.select(col("id"), proxyCol(e).as("proxy"), labelCol(e).as("positive"), col("stat"))
   }
 }

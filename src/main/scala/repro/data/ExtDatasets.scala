@@ -4,18 +4,6 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import scala.util.Random
 
-/** Multi-predicate dataset: per-predicate proxy scores and hidden labels.
-  * Column conventions in the DataFrame form: `proxy_<name>`, `label_<name>`.
-  */
-final case class MultiPredRecords(
-    names: Vector[String],
-    proxies: Map[String, Array[Double]],
-    labels: Map[String, Array[Boolean]],
-    stat: Array[Double],
-) {
-  def n: Int = stat.length
-}
-
 /** Group-by dataset: G mutually exclusive groups (`group(i)` in 0..G-1,
   * or -1 for no group), one proxy score array per group.
   *
@@ -110,7 +98,8 @@ object ExtDatasets {
     * two predicates, per-stratum positive rates drawn from a Beta
     * distribution; each proxy reports its stratum's rate (plus noise).
     */
-  def syntheticMultiPred(spark: SparkSession, rows: Long = 100_000L, seed: Long = 7): DataFrame = {
+  def syntheticMultiPred(spark: SparkSession, rows: Long = 100_000L): DataFrame = {
+    val seed = 7L
     val rng = new Random(seed)
     def betaDraw(): Double = { // Beta(2, 4) via Jöhnk's algorithm
       val a = 2.0; val b = 4.0
@@ -140,16 +129,6 @@ object ExtDatasets {
       .select("id", "stat", "label_a", "proxy_a", "label_b", "proxy_b")
   }
 
-  /** Collect a multipred DataFrame (columns `proxy_<x>`, `label_<x>`). */
-  def collectMultiPred(df: DataFrame, names: Vector[String]): MultiPredRecords = {
-    val rows = LocalRecords.collectById(df, "stat" +: names.flatMap(nm => Seq(s"proxy_$nm", s"label_$nm")))
-    MultiPredRecords(
-      names,
-      names.zipWithIndex.map { case (nm, j) => nm -> rows.map(_.getDouble(2 + 2 * j)) }.toMap,
-      names.zipWithIndex.map { case (nm, j) => nm -> rows.map(_.getBoolean(3 + 2 * j)) }.toMap,
-      rows.map(_.getDouble(1)))
-  }
-
   // ----------------------------------------------------------------- groupby
 
   /** Mutually exclusive group membership from columns `theta_0..theta_{g-1}`:
@@ -167,18 +146,11 @@ object ExtDatasets {
   /** Shared group-by construction: per record, each group g gets a
     * membership probability `theta_g` with mean `rates(g)`; the record is
     * assigned to at most one group by a single categorical draw (groups
-    * are mutually exclusive, as for a group-by key); `proxy_g = theta_g`
-    * plus optional noise. The statistic is `N(means(g), 1)` for members
-    * (and still defined, group-agnostically, for non-members).
+    * are mutually exclusive, as for a group-by key); `proxy_g = theta_g`.
+    * The statistic is `N(g + 1, 1)` for members of group g (0-based), and
+    * still defined, group-agnostically, as `N(0, 1)` for non-members.
     */
-  def groupBy(
-      spark: SparkSession,
-      rows: Long,
-      rates: Vector[Double],
-      means: Vector[Double],
-      proxyNoise: Double,
-      seed: Long,
-  ): DataFrame = {
+  def groupBy(spark: SparkSession, rows: Long, rates: Vector[Double], seed: Long): DataFrame = {
     require(rates.sum < 0.95, "group rates must leave room for non-members")
     val g = rates.length
     var df: DataFrame = spark.range(rows).toDF("id")
@@ -194,15 +166,9 @@ object ExtDatasets {
           lit(rates(j)) * lit(4.0) * col(s"u_$j") * col(s"u_$j") * col(s"u_$j"))
     }
     df = assignGroups(df, g, seed + 100)
-    for (j <- 0 until g) {
-      df = df.withColumn(s"proxy_$j",
-        if (proxyNoise == 0.0) col(s"theta_$j")
-        else clamp01(col(s"theta_$j") + lit(proxyNoise) * randn(seed + 200 + j)))
-    }
-    val meanCol = element_at(array(means.map(lit(_)): _*), col("group") + 1) // group is 0-based
-    df.withColumn("stat",
-        when(col("group") >= 0, meanCol + randn(seed + 300)).otherwise(randn(seed + 300)))
-      .select(Seq("id", "group", "stat") ++ (0 until g).map(j => s"proxy_$j") map col: _*)
+    val mean = (col("group") + 1).cast("double") // group is 0-based
+    df.withColumn("stat", when(col("group") >= 0, mean + randn(seed + 300)).otherwise(randn(seed + 300)))
+      .select(Seq("id", "group", "stat").map(col) ++ (0 until g).map(j => col(s"theta_$j").as(s"proxy_$j")): _*)
   }
 
   /** celeba-like group-by: `GROUP BY hair_color ∈ {gray, blond}` with a
@@ -215,7 +181,8 @@ object ExtDatasets {
     * most of a group even though the marginal rates are small (gray 4%,
     * blond 15%).
     */
-  def celebaGroupBy(spark: SparkSession, sf: Double = 1.0, seed: Long = 21): DataFrame = {
+  def celebaGroupBy(spark: SparkSession, sf: Double = 1.0): DataFrame = {
+    val seed = 21L
     val rows = math.max(100L, (Datasets.celeba.size * sf).toLong)
     val rates = Vector(0.04, 0.15)
     val slope = 2.8
@@ -237,14 +204,14 @@ object ExtDatasets {
   /** Paper's synthetic group-by for the single-oracle setting: four
     * groups with positive rates 3.3%, 3.3%, 3.4%, 3.5%.
     */
-  def syntheticGroupBySingle(spark: SparkSession, rows: Long = 200_000L, seed: Long = 22): DataFrame =
-    groupBy(spark, rows, Vector(0.033, 0.033, 0.034, 0.035), Vector(1.0, 2.0, 3.0, 4.0), 0.0, seed)
+  def syntheticGroupBySingle(spark: SparkSession, rows: Long = 200_000L): DataFrame =
+    groupBy(spark, rows, Vector(0.033, 0.033, 0.034, 0.035), seed = 22)
 
   /** Paper's synthetic group-by for the multi-oracle setting: four
     * groups with positive rates 16%, 12%, 9%, 5%.
     */
-  def syntheticGroupByMulti(spark: SparkSession, rows: Long = 200_000L, seed: Long = 23): DataFrame =
-    groupBy(spark, rows, Vector(0.16, 0.12, 0.09, 0.05), Vector(1.0, 2.0, 3.0, 4.0), 0.0, seed)
+  def syntheticGroupByMulti(spark: SparkSession, rows: Long = 200_000L): DataFrame =
+    groupBy(spark, rows, Vector(0.16, 0.12, 0.09, 0.05), seed = 23)
 
   /** Collect a group-by DataFrame into [[GroupedRecords]]. */
   def collectGrouped(df: DataFrame, groupNames: Vector[String]): GroupedRecords = {
@@ -275,7 +242,8 @@ object ExtDatasets {
   /** Paper's synthetic combination setting: `positive ~ Bernoulli(θ)`,
     * proxies are θ plus per-proxy noise.
     */
-  def syntheticMultiProxy(spark: SparkSession, rows: Long = 100_000L, seed: Long = 24): DataFrame = {
+  def syntheticMultiProxy(spark: SparkSession, rows: Long = 100_000L): DataFrame = {
+    val seed = 24L
     val theta = clamp01(lit(0.25) + lit(0.2) * randn(seed)) // mean ≈ .25 Bernoulli parameter
     spark.range(rows)
       .withColumn("theta", theta)

@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.data.Datasets
+import repro.data.{Datasets, LocalRecords}
 import repro.metrics.Metrics
 import repro.sampling.Rng
 
@@ -32,23 +32,29 @@ object CoreFigures {
     def gain: Double = unifRmse / abaeRmse
   }
 
-  /** The trials Figs. 2–4 summarize: per (dataset, budget), `nTrials` ABAE
-    * and uniform estimates and the truth, reduced by `cell`.
+  /** The trials Figs. 2–4 and 6 summarize: per (dataset, budget b),
+    * `nTrials` ABAE and uniform estimates, seeded from `abaeSeed · b` and
+    * `unifSeed · b`, and the truth, reduced by `cell`. Strata are
+    * memoized by dataset name.
     */
-  private def budgetSweep[C](
-      spark: SparkSession,
+  def budgetSweep[C](
+      datasets: Seq[(String, LocalRecords)],
       budgets: Seq[Int],
       nTrials: Int,
-      profiles: Seq[Datasets.Profile],
+      abaeSeed: Long,
+      unifSeed: Long,
   )(cell: (String, Int, Vector[Double], Vector[Double], Double) => C): Vector[C] =
-    profiles.toVector.flatMap { p =>
-      val rec = Harness.records(spark, p)
-      val strat = Harness.stratified(spark, p, DefaultParams.k)
+    datasets.toVector.flatMap { case (name, rec) =>
+      val strat = Harness.stratified(name, rec, DefaultParams.k)
       budgets.map { b =>
-        cell(p.name, b, Harness.abaeEstimates(strat, b, nTrials, DefaultParams, 1000L * b),
-          Harness.uniformEstimates(rec, b, nTrials, 5000L * b), rec.truth)
+        cell(name, b, Harness.abaeEstimates(strat, b, nTrials, DefaultParams, abaeSeed * b),
+          Harness.uniformEstimates(rec, b, nTrials, unifSeed * b), rec.truth)
       }
     }
+
+  /** Figs. 2–4's datasets: each profile at the paper's size. */
+  private def profileRecords(spark: SparkSession, profiles: Seq[Datasets.Profile]): Seq[(String, LocalRecords)] =
+    profiles.map(p => p.name -> Harness.records(spark, p))
 
   def rmseSweep(
       spark: SparkSession,
@@ -56,7 +62,7 @@ object CoreFigures {
       nTrials: Int,
       profiles: Seq[Datasets.Profile] = Datasets.all,
   ): Vector[RmseCell] =
-    budgetSweep(spark, budgets, nTrials, profiles) { (d, b, abae, unif, truth) =>
+    budgetSweep(profileRecords(spark, profiles), budgets, nTrials, 1000L, 5000L) { (d, b, abae, unif, truth) =>
       val (ar, as) = Harness.rmseAndStd(abae, truth)
       val (ur, us) = Harness.rmseAndStd(unif, truth)
       RmseCell(d, b, ar, as, ur, us)
@@ -83,7 +89,7 @@ object CoreFigures {
       nTrials: Int,
       profiles: Seq[Datasets.Profile] = Seq(Datasets.nightStreet, Datasets.amazonOffice),
   ): Vector[QErrorCell] =
-    budgetSweep(spark, PaperBudgets, nTrials, profiles) { (d, b, abae, unif, truth) =>
+    budgetSweep(profileRecords(spark, profiles), PaperBudgets, nTrials, 1000L, 5000L) { (d, b, abae, unif, truth) =>
       QErrorCell(d, b, Metrics.normalizedQError(abae, truth), Metrics.normalizedQError(unif, truth))
     }
 
@@ -108,7 +114,7 @@ object CoreFigures {
   ): Vector[CiCell] =
     profiles.toVector.flatMap { p =>
       val rec = Harness.records(spark, p)
-      val strat = Harness.stratified(spark, p, DefaultParams.k)
+      val strat = Harness.stratified(p.name, rec, DefaultParams.k)
       val truth = rec.truth
       budgets.map { b =>
         var aw = 0.0; var ac = 0; var uw = 0.0; var uc = 0
@@ -140,7 +146,7 @@ object CoreFigures {
   def fig9(spark: SparkSession, nTrials: Int): Vector[LesionCell] =
     Datasets.all.toVector.map { p =>
       val rec = Harness.records(spark, p)
-      val strat = Harness.stratified(spark, p, DefaultParams.k)
+      val strat = Harness.stratified(p.name, rec, DefaultParams.k)
       val truth = rec.truth
       val full = Metrics.rmse(
         Harness.abaeEstimates(strat, StudyBudget, nTrials, DefaultParams, 111L), truth)
@@ -162,7 +168,7 @@ object CoreFigures {
       val truth = rec.truth
       val unif = Metrics.rmse(Harness.uniformEstimates(rec, StudyBudget, nTrials, 444L), truth)
       (2 to 10).map { k =>
-        val strat = Harness.stratified(spark, p, k)
+        val strat = Harness.stratified(p.name, rec, k)
         val a = Metrics.rmse(
           Harness.abaeEstimates(strat, StudyBudget, nTrials, AbaeParams(k = k), 555L + k), truth)
         KCell(p.name, k, a, unif)
@@ -177,7 +183,7 @@ object CoreFigures {
   def fig11(spark: SparkSession, nTrials: Int): Vector[CCell] =
     Datasets.all.toVector.flatMap { p =>
       val rec = Harness.records(spark, p)
-      val strat = Harness.stratified(spark, p, 5)
+      val strat = Harness.stratified(p.name, rec, 5)
       val truth = rec.truth
       val unif = Metrics.rmse(Harness.uniformEstimates(rec, StudyBudget, nTrials, 666L), truth)
       Seq(0.1, 0.3, 0.5, 0.7, 0.9).map { c =>

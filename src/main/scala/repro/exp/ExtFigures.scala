@@ -26,23 +26,15 @@ object ExtFigures {
     */
   private def multiPredDatasets(spark: SparkSession): Vector[(String, LocalRecords)] = {
     def lowered(name: String, df: => DataFrame, a: String, b: String): (String, LocalRecords) =
-      name -> Harness.memo("multipred", name)(
-        MultiPred.lower(And(Pred(a), Pred(b)), ExtDatasets.collectMultiPred(df, Vector(a, b))))
+      name -> Harness.memo("multipred", name)(LocalRecords.fromDf(MultiPred.lower(And(Pred(a), Pred(b)), df)))
     Vector(
       lowered("night-street(cars&red)", ExtDatasets.nightStreetMultiPred(spark), "cars", "red"),
       lowered("synthetic(2-pred)", ExtDatasets.syntheticMultiPred(spark), "a", "b"))
   }
 
   def fig6(spark: SparkSession, nTrials: Int): Vector[MultiPredCell] =
-    multiPredDatasets(spark).flatMap { case (name, rec) =>
-      val strat = StratifiedLocal(rec, DefaultParams.k)
-      val truth = rec.truth
-      CoreFigures.PaperBudgets.map { b =>
-        val a = Metrics.rmse(
-          Harness.abaeEstimates(strat, b, nTrials, DefaultParams, 10L * b), truth)
-        val u = Metrics.rmse(Harness.uniformEstimates(rec, b, nTrials, 20L * b), truth)
-        MultiPredCell(name, b, a, u)
-      }
+    CoreFigures.budgetSweep(multiPredDatasets(spark), CoreFigures.PaperBudgets, nTrials, 10L, 20L) {
+      (query, b, abae, unif, truth) => MultiPredCell(query, b, Metrics.rmse(abae, truth), Metrics.rmse(unif, truth))
     }
 
   // -------------------------------------------------------------- Figs 7 & 8

@@ -38,8 +38,9 @@ object Harness {
   def records(spark: SparkSession, profile: Datasets.Profile): LocalRecords =
     memo("records", profile.name)(Datasets.local(spark, profile))
 
-  def stratified(spark: SparkSession, profile: Datasets.Profile, k: Int): StratifiedLocal =
-    memo("strata", (profile.name, k))(StratifiedLocal(records(spark, profile), k))
+  /** Dataset `name`'s records `rec` in `k` proxy-quantile strata. */
+  def stratified(name: String, rec: LocalRecords, k: Int): StratifiedLocal =
+    memo("strata", (name, k))(StratifiedLocal(rec, k))
 
   // ------------------------------------------------------------ trial loops
 

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.data.{CountingOracle, Datasets, IdColumns, Stratification, StratifiedLocal}
+import repro.data.{CountingOracle, Datasets, ExtDatasets, IdColumns, LocalRecords, Stratification, StratifiedLocal}
 
 /** Spark-engine tests: the engine's strata against the window plan below
   * and DuckDB's `NTILE`, the DuckDB equivalence checks of the estimates
@@ -259,6 +259,29 @@ class AbaeSparkSpec extends SparkSpec {
         assert((mine.map(_._3).toSeq, mine.map(_._4).toSeq) == draws(localRes)(s), at)
       }
     }
+  }
+
+  test("Spark engine answers a lowered multi-predicate query exactly as the local engine does") {
+    val k = 5
+    val lowered = MultiPred.lower(And(Pred("cars"), Pred("red")), ExtDatasets.nightStreetMultiPred(spark, sf = 0.05))
+      .cache()
+    val rec = LocalRecords.fromDf(lowered)
+    val strat = StratifiedLocal(rec, k)
+    // 10000 exceeds every stratum's size, so Stage 2 exhausts strata.
+    assert(strat.sizes.max < 10000 && 10000 < rec.n)
+    for (seed <- Seq(21L, 22L, 23L); budget <- Seq(2 * k, 1500, 10000)) {
+      val params = AbaeParams(k = k)
+      val sparkRes = AbaeSpark.run(lowered, budget, params, seed)
+      val localRes = Abae.run(strat, new CountingOracle(strat), budget, params, seed)
+      val at = s"seed=$seed budget=$budget"
+      def draws(r: AbaeResult) = r.draws.map(d => (d.flags.toSeq, d.stats.toSeq))
+      assert(sparkRes.estimate == localRes.estimate, at)
+      assert(sparkRes.perStratum == localRes.perStratum, at)
+      assert(sparkRes.allocation.toSeq == localRes.allocation.toSeq, at)
+      assert(sparkRes.oracleCalls == localRes.oracleCalls, at)
+      assert(draws(sparkRes) == draws(localRes), at)
+    }
+    lowered.unpersist()
   }
 
   test("two seeds serve different first ids") {

@@ -1,23 +1,28 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.core.{MultiPred, Pred}
 
 class ExtDatasetsSpec extends SparkSpec {
 
+  /** Predicate `name`'s own `(proxy, label, stat)`, lowered as a one-predicate query. */
+  private def single(df: DataFrame, name: String): LocalRecords = LocalRecords.fromDf(MultiPred.lower(Pred(name), df))
+
   test("nightStreetMultiPred has the paper's combined positive rate ~0.17") {
     val df = ExtDatasets.nightStreetMultiPred(spark, sf = 0.03)
-    val rec = ExtDatasets.collectMultiPred(df, Vector("cars", "red"))
-    val combined = (0 until rec.n).count(i => rec.labels("cars")(i) && rec.labels("red")(i))
-    val rate = combined.toDouble / rec.n
+    val (cars, red) = (single(df, "cars"), single(df, "red"))
+    val combined = (0 until cars.n).count(i => cars.positive(i) && red.positive(i))
+    val rate = combined.toDouble / cars.n
     assert(math.abs(rate - 0.17) < 0.03, s"rate=$rate")
   }
 
   test("multipred proxies are in [0,1] and correlate with their own labels") {
     val df = ExtDatasets.nightStreetMultiPred(spark, sf = 0.02)
-    val rec = ExtDatasets.collectMultiPred(df, Vector("cars", "red"))
     for (nm <- Seq("cars", "red")) {
-      val proxy = rec.proxies(nm)
-      val label = rec.labels(nm)
+      val rec = single(df, nm)
+      val proxy = rec.proxy
+      val label = rec.positive
       assert(proxy.forall(p => p >= 0 && p <= 1))
       val pos = proxy.zip(label).filter(_._2).map(_._1)
       val neg = proxy.zip(label).filterNot(_._2).map(_._1)
@@ -26,13 +31,12 @@ class ExtDatasetsSpec extends SparkSpec {
   }
 
   test("syntheticMultiPred draws per-stratum rates and is deterministic") {
-    val a = ExtDatasets.collectMultiPred(
-      ExtDatasets.syntheticMultiPred(spark, rows = 20000), Vector("a", "b"))
-    val b = ExtDatasets.collectMultiPred(
-      ExtDatasets.syntheticMultiPred(spark, rows = 20000), Vector("a", "b"))
-    assert(a.labels("a").toSeq == b.labels("a").toSeq)
-    assert(a.proxies("b").toSeq == b.proxies("b").toSeq)
-    val rate = a.labels("a").count(identity).toDouble / a.n
+    val a = ExtDatasets.syntheticMultiPred(spark, rows = 20000)
+    val b = ExtDatasets.syntheticMultiPred(spark, rows = 20000)
+    val aa = single(a, "a")
+    assert(aa.positive.toSeq == single(b, "a").positive.toSeq)
+    assert(single(a, "b").proxy.toSeq == single(b, "b").proxy.toSeq)
+    val rate = aa.positive.count(identity).toDouble / aa.n
     assert(rate > 0.02 && rate < 0.8, s"rate=$rate")
   }
 
@@ -110,8 +114,7 @@ class ExtDatasetsSpec extends SparkSpec {
     assert(pos.toSeq == trec.positive.toSeq)
     assert(stat.toSeq == trec.stat.toSeq)
     val night = Datasets.local(spark, Datasets.nightStreet, sf = 0.02)
-    val multi = ExtDatasets.collectMultiPred(
-      ExtDatasets.nightStreetMultiPred(spark, sf = 0.02), Vector("cars"))
+    val multi = single(ExtDatasets.nightStreetMultiPred(spark, sf = 0.02), "cars")
     assert(multi.stat.toSeq == night.stat.toSeq)
   }
 
