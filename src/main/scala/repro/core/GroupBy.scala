@@ -257,8 +257,8 @@ object GroupBy {
     val budgets = Estimators.stage2Sizes(n2, lambdas)
     for (l <- 0 until g) {
       val sizes = Estimators.stage2Sizes(budgets(l), tHat(l))
-      for (s <- 0 until k)
-        label(PermutationSampler.excluding(strata(l), s, taken, rng).next(sizes(s)))
+      val cells = PermutationSampler.excluding(strata(l), taken)
+      for (s <- 0 until k) label(cells(s, rng).next(sizes(s)))
     }
 
     // Final: group g is estimated from its own stratification, whose

@@ -125,8 +125,10 @@ object ProxyCombiner {
 
     // A pilot of one label class has nothing to fit: every record scores
     // the same, so the strata below are index ranges.
+    var i = 1
+    while (i < pilot.n && pilot.flags(i) == pilot.flags(0)) i += 1
     val (scores, model) =
-      if (pilot.flags.distinct.length < 2) (score(proxies, None), None)
+      if (i >= pilot.n) (score(proxies, None), None)
       else {
         val (s, m) = combineScores(proxies, pilotIdx, pilot.flags)
         (s, Some(m))
@@ -138,8 +140,8 @@ object ProxyCombiner {
     val strat = Stratification(scores, k)
     val taken = new BitSet(n)
     pilotIdx.foreach(taken.set)
-    def draw(s: Int, m: Int): StratumDraws =
-      oracle.label(PermutationSampler.excluding(strat, s, taken, rng).next(m))
+    val stage2 = PermutationSampler.excluding(strat, taken)
+    def draw(s: Int, m: Int): StratumDraws = oracle.label(stage2(s, rng).next(m))
     val res = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot), budget - n1, draw)
     CombinedResult(res.estimate, oracle.calls, model)
   }

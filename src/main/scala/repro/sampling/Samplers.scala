@@ -37,7 +37,7 @@ trait StratumSampler {
   *
   * The public constructor samples records `[0, populationSize)` with a
   * bitset of its own (one bit per record). [[PermutationSampler.excluding]]
-  * samples one stratum less the records a shared bitset already holds.
+  * samples each stratum less the records a shared bitset already holds.
   * Both read `rng` once, to seed a `SplittableRandom`.
   */
 final class PermutationSampler private (
@@ -104,21 +104,24 @@ final class PermutationSampler private (
 
 object PermutationSampler {
 
-  /** Stratum `s` of `strat` less the records marked in `taken`, a bitset
-    * over record ids that several samplers share: draws are record ids, and
-    * each is marked in `taken` as it is drawn. The population is the
-    * stratum's unmarked records when the sampler is built; while it draws,
-    * no other sampler may mark records of this stratum.
+  /** Samplers over the strata of `strat` less the records marked in
+    * `taken`, a bitset over record ids that several samplers share: draws
+    * are record ids, and each is marked in `taken` as it is drawn. One pass
+    * over `taken` counts the marked records of every stratum, and the
+    * sampler of stratum `s` draws from its unmarked ones. A sampler marks
+    * only records of its own stratum, so the other strata's counts stay
+    * valid while it draws; build each stratum's sampler at most once, and
+    * let nothing else mark records of `strat` in between.
     */
-  def excluding(strat: Stratification, s: Int, taken: BitSet, rng: Random): PermutationSampler = {
+  def excluding(strat: Stratification, taken: BitSet): (Int, Random) => PermutationSampler = {
     val stratumOf = strat.stratumOf
-    var excluded = 0
+    val excluded = new Array[Int](strat.k)
     var i = taken.nextSetBit(0)
     while (i >= 0) {
-      if (stratumOf(i) == s) excluded += 1
+      excluded(stratumOf(i)) += 1
       i = taken.nextSetBit(i + 1)
     }
-    new PermutationSampler(strat.size(s), strat, s, taken, excluded, new SplittableRandom(rng.nextLong()))
+    (s, rng) => new PermutationSampler(strat.size(s), strat, s, taken, excluded(s), new SplittableRandom(rng.nextLong()))
   }
 }
 

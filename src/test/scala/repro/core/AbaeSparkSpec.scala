@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
@@ -282,6 +284,108 @@ class AbaeSparkSpec extends SparkSpec {
       assert(draws(sparkRes) == draws(localRes), at)
     }
     lowered.unpersist()
+  }
+
+  // ------------------------------------------------- repeat queries
+
+  /** `body`'s value and the number of Spark jobs it started, counted by a
+    * listener. A marker job run after `body` flushes the listener bus: it
+    * delivers events in order, so once the marker's start arrives, every
+    * job `body` started has been counted.
+    */
+  private def jobsDuring[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val starts = new LinkedBlockingQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        starts.add(Option(e.properties).flatMap(p => Option(p.getProperty("repro.marker"))).getOrElse("job"))
+    }
+    sc.addSparkListener(listener)
+    try {
+      val a = body
+      sc.setLocalProperty("repro.marker", "end")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty("repro.marker", null)
+      var jobs = 0
+      var e = starts.poll(60, TimeUnit.SECONDS)
+      while (e != "end") {
+        assert(e != null, "the marker job's start never arrived")
+        jobs += 1
+        e = starts.poll(60, TimeUnit.SECONDS)
+      }
+      (a, jobs)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** Everything a query returns, in comparable form. */
+  private def answer(r: AbaeSpark.SparkResult) =
+    (r.estimate, r.perStratum, r.stage1, r.allocation.toSeq, r.oracleCalls,
+      r.draws.map(d => (d.flags.toSeq, d.stats.toSeq)), r.sampled.collect().toSeq)
+
+  test("a repeat query on a cached table answers as a fresh scan does") {
+    val table = Datasets.generate(spark, Datasets.nightStreet, sf = 0.05)
+    val cached = table.select("id", "proxy", "positive", "stat").cache()
+    try {
+      assert(table.storageLevel == org.apache.spark.storage.StorageLevel.NONE)
+      for (k <- Seq(5, 3)) {
+        AbaeSpark.run(cached, 2 * k, AbaeParams(k = k), seed = 0) // the first query scans
+        // 10000 exceeds every stratum's size, so Stage 2 exhausts strata.
+        for (seed <- Seq(1L, 2L, 3L); budget <- Seq(10, 1500, 10000)) {
+          val (hit, jobs) = jobsDuring(AbaeSpark.run(cached, budget, AbaeParams(k = k), seed))
+          assert(jobs == 0, s"k=$k seed=$seed budget=$budget")
+          assert(answer(hit) == answer(AbaeSpark.run(table, budget, AbaeParams(k = k), seed)),
+            s"k=$k seed=$seed budget=$budget")
+        }
+      }
+    } finally cached.unpersist()
+  }
+
+  test("a repeat query on a cached table runs no Spark job; an uncached table is scanned every time") {
+    val cached = df.filter(col("id") % 2 === 0).cache()
+    try {
+      val (first, firstJobs) = jobsDuring(AbaeSpark.run(cached, 1000, AbaeParams(k = 5), seed = 4))
+      assert(firstJobs >= 1)
+      val (again, againJobs) = jobsDuring(AbaeSpark.run(cached, 1000, AbaeParams(k = 5), seed = 4))
+      assert(againJobs == 0)
+      assert(answer(again) == answer(first))
+    } finally cached.unpersist()
+    val uncached = df.filter(col("id") % 2 === 1)
+    for (_ <- 0 until 3) {
+      val (_, jobs) = jobsDuring(AbaeSpark.run(uncached, 1000, AbaeParams(k = 5), seed = 4))
+      assert(jobs >= 1)
+    }
+  }
+
+  test("a query after a cached parquet table is unpersisted, overwritten and cached again sees the new rows") {
+    val tmp = java.nio.file.Files.createTempDirectory("abae-recache").toFile
+    val dir = new java.io.File(tmp, "t").toString
+    val rows = Datasets.generate(spark, Datasets.celeba, sf = 0.02).select("id", "proxy", "positive", "stat")
+    val shifted = rows.withColumn("stat", col("stat") + 100.0)
+    def query(d: DataFrame) = AbaeSpark.run(d, 1500, AbaeParams(k = 5), seed = 6)
+    try {
+      rows.write.parquet(dir)
+      val before = spark.read.parquet(dir).cache()
+      val old = query(before)
+      assert(answer(query(before)) == answer(old))
+      before.unpersist(blocking = true)
+      shifted.write.mode("overwrite").parquet(dir)
+      val after = spark.read.parquet(dir).cache()
+      try {
+        val (res, jobs) = jobsDuring(query(after))
+        assert(jobs >= 1)
+        assert(answer(res) == answer(query(shifted)))
+        assert(res.estimate > old.estimate + 50, s"${res.estimate} vs ${old.estimate}")
+      } finally after.unpersist()
+    } finally org.apache.commons.io.FileUtils.deleteDirectory(tmp)
+  }
+
+  test("a cached table with a repeated id fails on every query") {
+    val repeated = df.union(df.filter(col("id") === 123)).cache()
+    try {
+      for (_ <- 0 until 3) {
+        val e = intercept[IllegalArgumentException](AbaeSpark.run(repeated, 1000, AbaeParams(k = 5), seed = 1))
+        assert(e.getMessage.contains("id 123 appears more than once"), e.getMessage)
+      }
+    } finally repeated.unpersist()
   }
 
   test("two seeds serve different first ids") {

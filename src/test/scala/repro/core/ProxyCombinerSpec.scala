@@ -145,8 +145,9 @@ class ProxyCombinerSpec extends AnyFunSuite {
       val strat = Stratification(Array.tabulate(m)(_.toDouble), params.k)
       val taken = new java.util.BitSet(m)
       pilotIdx.foreach(taken.set)
+      val stage2 = PermutationSampler.excluding(strat, taken)
       val ref = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot), budget - n1, { (s, k) =>
-        StratumDraws.label(PermutationSampler.excluding(strat, s, taken, rng).next(k), oracle.query)
+        StratumDraws.label(stage2(s, rng).next(k), oracle.query)
       })
       assert(res.estimate == ref.estimate && res.oracleCalls == oracle.calls,
         s"all-$label: ${res.estimate} / ${res.oracleCalls} vs ${ref.estimate} / ${oracle.calls}")

@@ -112,7 +112,7 @@ class SamplersSpec extends AnyFunSuite {
     */
   private def view(p: Array[Double], k: Int, s: Int, taken: BitSet, rng: Random): (Stratification, PermutationSampler) = {
     val strat = Stratification(p, k)
-    (strat, PermutationSampler.excluding(strat, s, taken, rng))
+    (strat, PermutationSampler.excluding(strat, taken)(s, rng))
   }
 
   /** A draw of `m` from records `0 until n` less those `exclude` holds. */
@@ -161,10 +161,17 @@ class SamplersSpec extends AnyFunSuite {
       pilot.foreach(taken.set)
       val labeled = scala.collection.mutable.Set.empty[Int] ++ pilot
       // Stage 2 over three stratifications in turn, as single-oracle GroupBy draws.
-      for (strat <- strats; s <- 0 until 5) {
-        val got = PermutationSampler.excluding(strat, s, taken, rng).next(150)
-        assert(got.forall(!labeled(_)), s"seed $seed: a record was labeled twice")
-        labeled ++= got
+      // Each stratification's marked records are counted once, before its
+      // first stratum draws.
+      for (strat <- strats) {
+        val cells = PermutationSampler.excluding(strat, taken)
+        for (s <- 0 until 5) {
+          val sampler = cells(s, rng)
+          assert(sampler.populationSize == strat.indices(s).count(!taken.get(_)), s"seed $seed: stale count")
+          val got = sampler.next(150)
+          assert(got.forall(!labeled(_)), s"seed $seed: a record was labeled twice")
+          labeled ++= got
+        }
       }
       assert((0 until n).filter(taken.get).toSet == labeled)
     }
