@@ -105,7 +105,7 @@ object Abae {
       pilot: Vector[StratumDraws],
       n2: Int,
       draw: (Int, Int) => StratumDraws,
-      reuse: Boolean = true,
+      reuse: Boolean,
   ): AbaeResult = {
     val stage1Est = pilot.map(Estimators.fromDraws)
     val tHat = Estimators.allocationFromPilot(stage1Est)

@@ -1,7 +1,11 @@
 package repro.core
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 import scala.language.implicitConversions
+import org.apache.spark.SparkContext
+import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerUnpersistRDD}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.classic.ClassicConversions.castToImpl
 import org.apache.spark.sql.types.StructType
@@ -26,8 +30,10 @@ import repro.data.{IdColumns, PredicateOracle, Stratification}
   * repeat query (any budget, seed or `reuse`) runs no Spark job and no
   * sort, and serves the same arrays a rescan would. `unpersist`,
   * `clearCache` or a re-`cache()` makes a new entry, which the next query
-  * scans. A scan that fails is not kept, so a null or a repeated id fails
-  * every query; the check on each served row runs on every query.
+  * scans; the old entry's scan is freed as soon as Spark's listener bus
+  * delivers the unpersist, with no further query. A scan that fails is
+  * not kept, so a null or a repeated id fails every query; the check on
+  * each served row runs on every query.
   *
   * Accounting: the scanned columns include `positive`/`stat`, as the local
   * engine's records do (the cost modeled is oracle calls, not dataflow),
@@ -41,7 +47,7 @@ import repro.data.{IdColumns, PredicateOracle, Stratification}
   * runs (the columns and the stratification order; the samplers add one
   * bit per row), and a query that scans allocates about 305–330 bytes per
   * row on the way. For a cached `df` the 29 bytes per row (and 4 more per
-  * further K) stay on the driver while the table stays cached, and a
+  * further K) stay on the driver until the table is unpersisted, and a
   * repeat query allocates no per-row scan at all. Measured on cached
   * night-street (budget 10000, K=5, `local[4]`, 8 GB driver heap, 4 vCPU),
   * with the allocation read from `ThreadMXBean` over all threads and the
@@ -106,9 +112,15 @@ object AbaeSpark {
 
   /** Keyed by the cache entry's buffer RDD, which compares by identity:
     * `unpersist`, `clearCache` and a re-`cache()` each give the table a new
-    * one, and a dropped entry's scan can then be garbage-collected.
+    * one. A listener per [[SparkContext]] drops an entry when Spark
+    * unpersists its RDD; the weak keys free those of a context that stops
+    * first.
     */
-  private val scans = new java.util.WeakHashMap[AnyRef, Scanned]()
+  private val scans = new java.util.WeakHashMap[RDD[_], Scanned]()
+  private val listening = java.util.Collections.newSetFromMap(new java.util.WeakHashMap[SparkContext, java.lang.Boolean])
+
+  /** The ids of the buffer RDDs whose scans are kept. */
+  private[core] def scanned: Set[Int] = scans.synchronized(scans.keySet.asScala.map(_.id).toSet)
 
   /** `df`'s columns and their K-stratification. An uncached `df` is
     * scanned every time; a cached one is scanned and stratified once per
@@ -125,6 +137,11 @@ object AbaeSpark {
         val key = entry.cachedRepresentation.cacheBuilder.cachedColumnBuffers
         val m = scans.synchronized(Option(scans.get(key))).getOrElse {
           val m = new Scanned(IdColumns.collect(df))
+          val sc = key.sparkContext
+          listening.synchronized(if (listening.add(sc)) sc.addSparkListener(new SparkListener {
+            override def onUnpersistRDD(e: SparkListenerUnpersistRDD): Unit =
+              scans.synchronized(scans.keySet.removeIf(r => r.id == e.rddId && (r.sparkContext eq sc)))
+          }))
           scans.synchronized(scans.put(key, m))
           m
         }

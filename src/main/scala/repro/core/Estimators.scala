@@ -57,17 +57,10 @@ object StratumDraws {
     StratumDraws(flags, stats)
   }
 
-  /** File the draws `d` of records `idx` (aligned) into the strata of
-    * `strat`, keeping draw order within each stratum — how a pilot drawn
-    * outside a stratification becomes its per-stratum pilot.
-    */
-  def byStratum(strat: Stratification, idx: Array[Int], d: StratumDraws): Vector[StratumDraws] = {
-    require(idx.length == d.n, "indices/draws length mismatch")
-    byStratum(strat, idx, d.flags, d.stats, d.n)
-  }
-
-  /** [[byStratum]] over the first `n` draws of aligned arrays, which may be
-    * longer.
+  /** File the first `n` draws of records `idx` (aligned arrays, which may
+    * be longer) into the strata of `strat`, keeping draw order within each
+    * stratum — how a pilot drawn outside a stratification becomes its
+    * per-stratum pilot.
     */
   def byStratum(strat: Stratification, idx: Array[Int], flags: Array[Boolean], stats: Array[Double],
       n: Int): Vector[StratumDraws] = {

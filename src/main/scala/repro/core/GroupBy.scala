@@ -33,10 +33,11 @@ object GroupBy {
   private[core] def keyOracle(data: GroupedRecords): KeyOracle = new KeyOracle(data.group, data.stat)
 
   /** §3.2, scenario 2: oracle g only reveals whether a record belongs to
-    * group g (and its statistic). The charge is the sum of their calls.
+    * group g (and its statistic): a predicate oracle over group g's table.
+    * The charge is the sum of their calls.
     */
   private[core] def memberOracles(data: GroupedRecords): Vector[PredicateOracle] =
-    Vector.tabulate(data.g)(g => PredicateOracle.member(data.group, g, data.stat))
+    data.members.map(m => new PredicateOracle(m.positive, m.stat))
 
   /** Λ-free part of the estimated MSE of group g's estimator from
     * stratification l (the inner sum of Eqs. 10–11): Prop. 2's
@@ -309,7 +310,7 @@ object GroupBy {
 
     // Stage 2 extends each cell's sampler — exact sample reuse.
     val budgets = Estimators.stage2Sizes(n2, lambdas)
-    val estimates = Vector.tabulate(g)(l => Abae.finish(stage1(l), budgets(l), draw(l, _, _)).estimate)
+    val estimates = Vector.tabulate(g)(l => Abae.finish(stage1(l), budgets(l), draw(l, _, _), reuse = true).estimate)
     GroupByResult(estimates, lambdas, oracles.map(_.calls).sum)
   }
 

@@ -142,7 +142,8 @@ object ProxyCombiner {
     pilotIdx.foreach(taken.set)
     val stage2 = PermutationSampler.excluding(strat, taken)
     def draw(s: Int, m: Int): StratumDraws = oracle.label(stage2(s, rng).next(m))
-    val res = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot), budget - n1, draw)
+    val res = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot.flags, pilot.stats, pilot.n), budget - n1, draw,
+      params.reuse)
     CombinedResult(res.estimate, oracle.calls, model)
   }
 }

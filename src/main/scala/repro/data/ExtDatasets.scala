@@ -44,18 +44,15 @@ final case class GroupedRecords(
   def strata(k: Int): Vector[Stratification] =
     strataByK.computeIfAbsent(k, k => proxies.map(Stratification(_, k)))
 
+  /** Group g as a single-predicate table: its proxy, "is the record in
+    * group g", and the statistic. The constructor's checks imply
+    * [[LocalRecords]]'s, so building one cannot fail.
+    */
+  lazy val members: Vector[LocalRecords] =
+    Vector.tabulate(g)(j => LocalRecords(proxies(j), group.map(_ == j), stat))
+
   /** Ground-truth per-group mean of the statistic. */
-  lazy val truth: Vector[Double] = {
-    val sums = new Array[Double](g)
-    val counts = new Array[Int](g)
-    var i = 0
-    while (i < n) {
-      val gi = group(i)
-      if (gi >= 0) { sums(gi) += stat(i); counts(gi) += 1 }
-      i += 1
-    }
-    Vector.tabulate(g)(j => if (counts(j) == 0) 0.0 else sums(j) / counts(j))
-  }
+  lazy val truth: Vector[Double] = members.map(_.truth)
 }
 
 /** Generators for the paper's extension experiments (Figs. 6–8, 12):

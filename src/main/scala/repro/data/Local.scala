@@ -303,14 +303,11 @@ class Oracle[L](reveal: Int => L) {
   protected final def charge(n: Int): Unit = invocations += n
 }
 
-/** A predicate oracle over hidden columns: record `r` matches when
-  * `positive(r)`, or, for a [[PredicateOracle.member]] view of a group-key
-  * column, when `key(r) == g`; either way it reveals `stat(r)`.
+/** A predicate oracle over hidden columns: record `r` reveals
+  * `(positive(r), stat(r))`.
   */
-class PredicateOracle private (positive: Array[Boolean], key: Array[Int], g: Int, stat: Array[Double])
-    extends Oracle[(Boolean, Double)](r => (if (key eq null) positive(r) else key(r) == g, stat(r))) {
-
-  def this(positive: Array[Boolean], stat: Array[Double]) = this(positive, null, -1, stat)
+class PredicateOracle(positive: Array[Boolean], stat: Array[Double])
+    extends Oracle[(Boolean, Double)](r => (positive(r), stat(r))) {
 
   /** Label the records `idx` in order, one call each. */
   def label(idx: Array[Int]): StratumDraws = label(null, 0, idx)
@@ -325,18 +322,12 @@ class PredicateOracle private (positive: Array[Boolean], key: Array[Int], g: Int
     var i = 0
     while (i < idx.length) {
       val r = if (strat eq null) idx(i) else strat.record(s, idx(i))
-      flags(i) = if (key eq null) positive(r) else key(r) == g
+      flags(i) = positive(r)
       stats(i) = stat(r)
       i += 1
     }
     StratumDraws(flags, stats)
   }
-}
-
-object PredicateOracle {
-  /** The oracle for "is the record in group `g`" over a group-key column. */
-  def member(key: Array[Int], g: Int, stat: Array[Double]): PredicateOracle =
-    new PredicateOracle(null, key, g, stat)
 }
 
 /** A group-key oracle over hidden columns: record `r` reveals

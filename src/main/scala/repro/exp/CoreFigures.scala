@@ -131,7 +131,29 @@ object CoreFigures {
       }
     }
 
-  // ------------------------------------------------------------------ Fig 9
+  // ------------------------------------------------------------ Figs 9-11
+
+  /** The trials Figs. 9–11 summarize: per dataset, the uniform RMSE at
+    * [[StudyBudget]] from seed base `unifSeed`, and the ABAE RMSE of each
+    * `(params, seed base)` in `variants`, in order. Strata are memoized by
+    * (dataset, K).
+    */
+  private def studyRmse(
+      spark: SparkSession,
+      nTrials: Int,
+      unifSeed: Long,
+      variants: Seq[(AbaeParams, Long)],
+  ): Vector[(String, Double, Vector[Double])] =
+    Datasets.all.toVector.map { p =>
+      val rec = Harness.records(spark, p)
+      val truth = rec.truth
+      val unif = Metrics.rmse(Harness.uniformEstimates(rec, StudyBudget, nTrials, unifSeed), truth)
+      val abae = variants.toVector.map { case (params, seed) =>
+        val strat = Harness.stratified(p.name, rec, params.k)
+        Metrics.rmse(Harness.abaeEstimates(strat, StudyBudget, nTrials, params, seed), truth)
+      }
+      (p.name, unif, abae)
+    }
 
   /** Lesion study at budget 10,000: full ABAE, ABAE without sample reuse,
     * uniform sampling.
@@ -144,53 +166,27 @@ object CoreFigures {
   )
 
   def fig9(spark: SparkSession, nTrials: Int): Vector[LesionCell] =
-    Datasets.all.toVector.map { p =>
-      val rec = Harness.records(spark, p)
-      val strat = Harness.stratified(p.name, rec, DefaultParams.k)
-      val truth = rec.truth
-      val full = Metrics.rmse(
-        Harness.abaeEstimates(strat, StudyBudget, nTrials, DefaultParams, 111L), truth)
-      val noReuse = Metrics.rmse(
-        Harness.abaeEstimates(strat, StudyBudget, nTrials,
-          DefaultParams.copy(reuse = false), 222L), truth)
-      val unif = Metrics.rmse(Harness.uniformEstimates(rec, StudyBudget, nTrials, 333L), truth)
-      LesionCell(p.name, full, noReuse, unif)
+    studyRmse(spark, nTrials, 333L, Seq(DefaultParams -> 111L, DefaultParams.copy(reuse = false) -> 222L)).map {
+      case (d, unif, abae) => LesionCell(d, abae(0), abae(1), unif)
     }
-
-  // ----------------------------------------------------------------- Fig 10
 
   /** Sensitivity to the number of strata K (uniform baseline alongside). */
   final case class KCell(dataset: String, k: Int, abaeRmse: Double, unifRmse: Double)
 
-  def fig10(spark: SparkSession, nTrials: Int): Vector[KCell] =
-    Datasets.all.toVector.flatMap { p =>
-      val rec = Harness.records(spark, p)
-      val truth = rec.truth
-      val unif = Metrics.rmse(Harness.uniformEstimates(rec, StudyBudget, nTrials, 444L), truth)
-      (2 to 10).map { k =>
-        val strat = Harness.stratified(p.name, rec, k)
-        val a = Metrics.rmse(
-          Harness.abaeEstimates(strat, StudyBudget, nTrials, AbaeParams(k = k), 555L + k), truth)
-        KCell(p.name, k, a, unif)
-      }
+  def fig10(spark: SparkSession, nTrials: Int): Vector[KCell] = {
+    val ks = 2 to 10
+    studyRmse(spark, nTrials, 444L, ks.map(k => AbaeParams(k = k) -> (555L + k))).flatMap {
+      case (d, unif, abae) => ks.zip(abae).map { case (k, a) => KCell(d, k, a, unif) }
     }
-
-  // ----------------------------------------------------------------- Fig 11
+  }
 
   /** Sensitivity to the Stage-1 budget fraction C. */
   final case class CCell(dataset: String, c: Double, abaeRmse: Double, unifRmse: Double)
 
-  def fig11(spark: SparkSession, nTrials: Int): Vector[CCell] =
-    Datasets.all.toVector.flatMap { p =>
-      val rec = Harness.records(spark, p)
-      val strat = Harness.stratified(p.name, rec, 5)
-      val truth = rec.truth
-      val unif = Metrics.rmse(Harness.uniformEstimates(rec, StudyBudget, nTrials, 666L), truth)
-      Seq(0.1, 0.3, 0.5, 0.7, 0.9).map { c =>
-        val a = Metrics.rmse(
-          Harness.abaeEstimates(strat, StudyBudget, nTrials,
-            AbaeParams(k = 5, stage1Frac = c), 777L + (c * 10).toInt), truth)
-        CCell(p.name, c, a, unif)
-      }
+  def fig11(spark: SparkSession, nTrials: Int): Vector[CCell] = {
+    val cs = Seq(0.1, 0.3, 0.5, 0.7, 0.9)
+    studyRmse(spark, nTrials, 666L, cs.map(c => AbaeParams(k = 5, stage1Frac = c) -> (777L + (c * 10).toInt))).flatMap {
+      case (d, unif, abae) => cs.zip(abae).map { case (c, a) => CCell(d, c, a, unif) }
     }
+  }
 }

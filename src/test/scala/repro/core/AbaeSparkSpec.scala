@@ -388,6 +388,17 @@ class AbaeSparkSpec extends SparkSpec {
     } finally repeated.unpersist()
   }
 
+  test("unpersisting a cached table drops its scan, with no further query") {
+    val cached = df.filter(col("id") % 3 === 0).cache()
+    val before = AbaeSpark.scanned
+    AbaeSpark.run(cached, 1000, AbaeParams(k = 5), seed = 2)
+    val kept = AbaeSpark.scanned -- before
+    assert(kept.size == 1)
+    // The marker job in jobsDuring flushes the listener bus.
+    jobsDuring(cached.unpersist(blocking = true))
+    assert((AbaeSpark.scanned intersect kept).isEmpty)
+  }
+
   test("two seeds serve different first ids") {
     def firstIds(seed: Long): Seq[Long] =
       AbaeSpark.run(df, 10, AbaeParams(k = 5), seed).sampled.filter(col("rk") === 1)

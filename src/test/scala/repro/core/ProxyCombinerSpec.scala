@@ -126,7 +126,8 @@ class ProxyCombinerSpec extends AnyFunSuite {
     import repro.data.{Oracle, Stratification}
     val m = 3000
     val budget = 600
-    val params = AbaeParams(k = 5)
+    // Without reuse, so the reference below also checks that `run` honours it.
+    val params = AbaeParams(k = 5, reuse = false)
     val seed = 8L
     // The statistic rises with the index, so index-range strata shape the estimate.
     val st = Array.tabulate(m)(i => 4.0 + 6.0 * i / m + (i % 7))
@@ -146,9 +147,8 @@ class ProxyCombinerSpec extends AnyFunSuite {
       val taken = new java.util.BitSet(m)
       pilotIdx.foreach(taken.set)
       val stage2 = PermutationSampler.excluding(strat, taken)
-      val ref = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot), budget - n1, { (s, k) =>
-        StratumDraws.label(stage2(s, rng).next(k), oracle.query)
-      })
+      val ref = Abae.finish(StratumDraws.byStratum(strat, pilotIdx, pilot.flags, pilot.stats, pilot.n), budget - n1,
+        (s, k) => StratumDraws.label(stage2(s, rng).next(k), oracle.query), params.reuse)
       assert(res.estimate == ref.estimate && res.oracleCalls == oracle.calls,
         s"all-$label: ${res.estimate} / ${res.oracleCalls} vs ${ref.estimate} / ${oracle.calls}")
     }

@@ -183,6 +183,30 @@ class LocalSpec extends AnyFunSuite {
     assert(sr.truthP == 0.0 && sr.truthMu == 0.0 && sr.truthSigma == 0.0)
   }
 
+  test("GroupedRecords.members are the single-predicate tables of its groups, and truth reads them") {
+    // Group 2 is empty; record 4 is in no group and has a NaN statistic.
+    val proxies = Vector(Array(0.1, 0.9, 0.4, 0.3, 0.8, 0.2), Array(0.5, 0.5, 0.6, 0.1, 0.0, 0.7),
+      Array(0.3, 0.2, 0.1, 0.9, 0.4, 0.6))
+    val group = Array(0, 1, 0, 1, -1, 0)
+    val stat = Array(0.1, 2.5, 0.2, -1.75, Double.NaN, 0.3)
+    val data = GroupedRecords(Vector("a", "b", "c"), proxies, group, stat)
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    assert(data.members.length == 3)
+    for (g <- 0 until 3) {
+      val m = data.members(g)
+      assert(m.proxy eq proxies(g), s"group $g")
+      assert(m.positive.toSeq == group.map(_ == g).toSeq, s"group $g")
+      assert(m.stat eq stat, s"group $g")
+    }
+    // The per-group loop GroupedRecords.truth used to be.
+    val sums = new Array[Double](3)
+    val counts = new Array[Int](3)
+    for (i <- group.indices if group(i) >= 0) { sums(group(i)) += stat(i); counts(group(i)) += 1 }
+    val reference = Vector.tabulate(3)(g => if (counts(g) == 0) 0.0 else sums(g) / counts(g))
+    assert(data.truth.map(bits) == reference.map(bits))
+    assert(data.truth(2) == 0.0)
+  }
+
   // ---------------------------------------------------------------- oracles
 
   test("CountingOracle counts every invocation and returns hidden labels") {
@@ -208,19 +232,29 @@ class LocalSpec extends AnyFunSuite {
     val idx = Array(5, 0, 59, 5, 17, 33, 17) // records, with repeats
     val pos = Array(3, 0, 14, 3, 9)          // positions in stratum 2, with repeats
     def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    // Group 1's table of `key`; a record with a NaN statistic joins no group,
+    // as GroupedRecords requires. None of `idx` is in group 1 either way.
+    val grouped = GroupedRecords(Vector("a", "b", "c"), Vector.fill(3)(Array.fill(n)(0.5)),
+      Array.tabulate(n)(i => if (stat(i).isNaN) -1 else key(i)), stat)
+    val member = grouped.members(1)
 
-    // Each case: a fresh oracle, its batch call, the batch, the records it labels.
-    val predicates = Seq[(String, () => PredicateOracle, (PredicateOracle, Array[Int]) => StratumDraws, Array[Int], Array[Int])](
-      ("records", () => new PredicateOracle(positive, stat), _.label(_), idx, idx),
-      ("stratum", () => new PredicateOracle(positive, stat), _.label(strat, 2, _), pos, pos.map(strat.record(2, _))),
-      ("member", () => PredicateOracle.member(key, 1, stat), _.label(_), idx, idx))
-    for ((name, make, label, in, records) <- predicates) {
+    // Each case: a fresh oracle, its batch call, the batch, the records it
+    // labels, and the labels the hidden columns hold.
+    val predicates = Seq[(String, () => PredicateOracle, (PredicateOracle, Array[Int]) => StratumDraws, Array[Int],
+        Array[Int], Int => Boolean)](
+      ("records", () => new PredicateOracle(positive, stat), _.label(_), idx, idx, positive(_)),
+      ("stratum", () => new PredicateOracle(positive, stat), _.label(strat, 2, _), pos, pos.map(strat.record(2, _)),
+        positive(_)),
+      ("member", () => new PredicateOracle(member.positive, member.stat), _.label(_), idx, idx, key(_) == 1))
+    for ((name, make, label, in, records, matches) <- predicates) {
       val o = make()
       val d = label(o, in)
       val q = make()
       val expected = records.map(q.query)
       assert(d.flags.toSeq == expected.map(_._1).toSeq, name)
       assert(d.stats.toSeq.map(bits) == expected.map(e => bits(e._2)).toSeq, name)
+      assert(d.flags.toSeq == records.map(matches).toSeq, name)
+      assert(d.stats.toSeq.map(bits) == records.map(r => bits(stat(r))).toSeq, name)
       assert(o.calls == in.length && q.calls == in.length, name)
       assert(label(o, Array.emptyIntArray).n == 0 && o.calls == in.length, s"$name: an empty batch")
     }
